@@ -3,7 +3,6 @@
 
 Prints each polynomial with its degree, symmetry status and any negative
 coefficients, and confirms the count route and the determinant route agree.
-Expect n = 5 to take a few minutes (the n = 5 lattice has ~1.5M states).
 """
 
 import argparse
@@ -17,12 +16,11 @@ from ice_colors.pn import pn_consistent, positivity_report, symmetry_check
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=4)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     for n in range(1, args.max_n + 1):
         started = time.perf_counter()
-        table = count_table(n, workers=args.threads)
+        table = count_table(n)
         poly = pn_consistent(n, table)
         elapsed = time.perf_counter() - started
         coeffs = " ".join(format_fraction(c) for c in poly.coeffs)

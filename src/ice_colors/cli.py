@@ -11,17 +11,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
 
 from . import __version__
-from .exact import format_fraction
+from .exact import SingularInputError, format_fraction
 from .lattice import count_table, enumerate_states, heights, render_state
 from .pn import ConsistencyError, pn_consistent, positivity_report, symmetry_check
 from .theta import ParamSampler
-from .tpoly import pn_via_T
 from .verify import (filali_suite, identity_suite, lattice_suite,
                      specialization_suite)
 
@@ -36,7 +34,6 @@ class RunConfig:
     output: str | None = None
     seed: int = 0
     trials: int = 20
-    threads: int = 1
     time_budget: float | None = None
     suite: str = "all"
     dump: bool = False
@@ -51,14 +48,6 @@ class TimeBudget:
             raise TimeoutError("time budget exhausted")
 
 
-def _default_threads() -> int:
-    value = os.environ.get("ICE_COLORS_THREADS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ice-colors",
@@ -71,8 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
         if with_n:
             p.add_argument("--n", type=int, required=True, help="lattice half-size")
         p.add_argument("--output", help="write the report here instead of stdout")
-        p.add_argument("--threads", type=int, default=_default_threads(),
-                       help="worker processes (env ICE_COLORS_THREADS)")
         p.add_argument("--time-budget", type=float, default=None,
                        help="abort with exit 2 after this many seconds")
 
@@ -104,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_config(argv) -> RunConfig:
     args = build_parser().parse_args(argv)
     cfg = RunConfig(command=args.command)
-    for name in ("n", "fmt", "output", "seed", "trials", "threads",
-                 "time_budget", "suite", "dump"):
+    for name in ("n", "fmt", "output", "seed", "trials", "time_budget",
+                 "suite", "dump"):
         if hasattr(args, name):
             setattr(cfg, name, getattr(args, name))
     return cfg
@@ -144,7 +131,7 @@ def _cmd_counts(cfg: RunConfig, budget: TimeBudget) -> int:
     if cfg.n < 0:
         print("n must be >= 0", file=sys.stderr)
         return 2
-    table = count_table(cfg.n, workers=cfg.threads)
+    table = count_table(cfg.n)
     budget.check()
     _emit(table.to_csv() if cfg.fmt == "csv" else table.to_json(), cfg)
     return 0
@@ -156,13 +143,9 @@ def _cmd_pn(cfg: RunConfig, budget: TimeBudget) -> int:
         return 2
     from .pn import VARIANTS
 
-    table = count_table(cfg.n, workers=cfg.threads)
+    table = count_table(cfg.n)
     budget.check()
-    try:
-        poly = pn_consistent(cfg.n, table)
-    except ConsistencyError as err:
-        print(f"consistency failure: {err}", file=sys.stderr)
-        return 1
+    poly = pn_consistent(cfg.n, table)
     budget.check()
     variants_checked = [
         f"{v.tag}:m={m}" for v in VARIANTS for m in range(cfg.n + 1)
@@ -203,12 +186,8 @@ def _cmd_verify(cfg: RunConfig, budget: TimeBudget) -> int:
 def _cmd_bench(cfg: RunConfig, budget: TimeBudget) -> int:
     timings = {}
     start = time.perf_counter()
-    table = count_table(cfg.n, workers=cfg.threads)
+    table = count_table(cfg.n)
     timings["count_table_s"] = time.perf_counter() - start
-    budget.check()
-    start = time.perf_counter()
-    pn_via_T(cfg.n)
-    timings["pn_via_T_s"] = time.perf_counter() - start
     budget.check()
     start = time.perf_counter()
     pn_consistent(cfg.n, table)
@@ -235,6 +214,9 @@ def run(cfg: RunConfig) -> int:
     except TimeoutError:
         print("time budget exhausted", file=sys.stderr)
         return 2
+    except (ConsistencyError, SingularInputError) as err:
+        print(f"exact check failed: {err}", file=sys.stderr)
+        return 1
     except ValueError as err:
         print(str(err), file=sys.stderr)
         return 2

@@ -1,5 +1,5 @@
-"""Exact arithmetic substrate: dense rational polynomials, rational
-functions, fraction-free determinants and Newton interpolation.
+"""Exact arithmetic substrate: dense rational polynomials, fraction-free
+determinants and Newton interpolation.
 
 Rationals are ``fractions.Fraction`` throughout (arbitrary precision,
 canonical form).  Polynomials are dense coefficient tuples in ascending
@@ -9,7 +9,6 @@ beats anything clever.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
@@ -139,106 +138,14 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        lead = self.coeffs[-1]
-        return Poly([c / lead for c in self.coeffs])
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps({"coeffs": [format_fraction(c) for c in self.coeffs]})
-
 
 X = Poly([0, 1])
 ONE = Poly([1])
-ZERO = Poly()
 
 
 def format_fraction(q: Fraction) -> str:
     q = _frac(q)
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
-
-
-def parse_fraction(s: str) -> Fraction:
-    return Fraction(s)
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    while not b.is_zero():
-        a, b = b, divmod(a, b)[1]
-    return a.monic() if not a.is_zero() else a
-
-
-@dataclass(frozen=True)
-class RatFun:
-    """Normalized rational function: monic denominator, coprime with numerator."""
-
-    num: Poly
-    den: Poly
-
-    @staticmethod
-    def make(num: Poly, den: Poly = ONE) -> "RatFun":
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            return RatFun(ZERO, ONE)
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        lead = den.coeffs[-1]
-        if lead != 1:
-            num = num * (1 / lead)
-            den = den * (1 / lead)
-        return RatFun(num, den)
-
-    @staticmethod
-    def from_poly(p: Poly) -> "RatFun":
-        return RatFun(p, ONE)
-
-    def is_poly(self) -> bool:
-        return self.den == ONE
-
-    def to_poly(self) -> Poly:
-        if not self.is_poly():
-            raise SingularInputError("rational function is not a polynomial")
-        return self.num
-
-    def __add__(self, other: "RatFun") -> "RatFun":
-        g = poly_gcd(self.den, other.den)
-        if g.degree > 0:
-            db = self.den.exact_div(g)
-            dd = other.den.exact_div(g)
-        else:
-            db, dd = self.den, other.den
-        return RatFun.make(self.num * dd + other.num * db, self.den * dd)
-
-    def __neg__(self) -> "RatFun":
-        return RatFun(-self.num, self.den)
-
-    def __sub__(self, other: "RatFun") -> "RatFun":
-        return self + (-other)
-
-    def __mul__(self, other: "RatFun") -> "RatFun":
-        return RatFun.make(self.num * other.num, self.den * other.den)
-
-    def __call__(self, x):
-        return self.num(x) / self.den(x)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-
-RATFUN_ZERO = RatFun(ZERO, ONE)
-
-
-def ratfun_sum(terms: Iterable[RatFun]) -> RatFun:
-    total = RATFUN_ZERO
-    for t in terms:
-        total = total + t
-    return total
 
 
 def det_exact(matrix: Sequence[Sequence]) -> Fraction:

@@ -1,4 +1,5 @@
-"""Exact state enumeration for the six-vertex/8VSOS lattice with a reflecting end.
+"""Exact state enumeration and counting for the six-vertex/8VSOS lattice
+with a reflecting end.
 
 Geometry conventions for half-size ``n``:
 
@@ -32,8 +33,8 @@ import csv
 import io
 import json
 from collections import Counter, deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from typing import Iterator, Mapping, Optional
 
@@ -350,30 +351,93 @@ class CountTable:
         return marg
 
 
-def _count_for_turns(task: tuple[int, tuple[bool, ...]]) -> Counter:
-    n, turns = task
-    tally: Counter = Counter()
-    for state in _states_for_turns(n, turns):
-        s = stats(state)
-        tally[(s.m, s.l, s.k0, s.k1, s.k2)] += 1
-    return tally
+def _row_fills(below: tuple[bool, ...], w0: bool) -> list[tuple[tuple[bool, ...], bool]]:
+    """Every vertex row over the vertical edges ``below`` whose turn-side
+    arrow is ``w0`` and whose right-boundary arrow points right.
+
+    Returns ``(above, left)`` pairs: the vertical edges above the row, and
+    whether segment ``n-1`` points left.  Once the north arrow of a vertex is
+    chosen the ice rule fixes its east arrow, so ``above`` determines the row.
+    """
+    n = len(below)
+    partial = [((), w0, False)]  # (edges above so far, arrow entering column c, left)
+    for c in range(n):
+        grown = []
+        for above, w, left in partial:
+            if c == n - 1:
+                left = not w
+            for n_up in (True, False):
+                inward = int(w) + int(below[c]) + int(not n_up)
+                if inward in (1, 2):  # east arrow points left / right
+                    grown.append((above + (n_up,), inward == 2, left))
+        partial = grown
+    return [(above, left) for above, w, left in partial if w]
 
 
-def count_table(n: int, workers: int = 1) -> CountTable:
-    """Aggregate stats over all states; partitionable by turn configuration."""
+def _face_colors(edges: tuple[bool, ...], wall: int) -> tuple[int, int, int]:
+    """Faces per color in one face row, from its wall face height and the
+    vertical edges crossing it (an up arrow lowers the next face by one)."""
+    tally = [0, 0, 0]
+    h = wall
+    tally[h % 3] += 1
+    for edge in edges:
+        h += -1 if edge else 1
+        tally[h % 3] += 1
+    return (tally[0], tally[1], tally[2])
+
+
+def count_table(n: int) -> CountTable:
+    """Count the states in every (m, l, k0, k1, k2) cell by row transfer.
+
+    The frontier maps (vertical edges, m, l, k0, k1, k2) to a state count and
+    advances one turn (a lower and an upper lattice row) at a time; the
+    transfer structure is Kuperberg's U-turn/VSASM one (arXiv:math/0008184).
+    A face row's colors follow from its vertical edges and its wall face: 0
+    on even face rows, -1 or +1 inside a positive or negative turn.  Row
+    fills are memoised per (edges below, turn-side arrow).  No state is
+    built; ``enumerate_states`` with ``stats`` is the per-state reference.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return CountTable(0, {(None, None, 1, 0, 0): 1})
-    tasks = [(n, turns) for turns in product((False, True), repeat=n)]
+    fill = cache(_row_fills)  # memos live for this call only
+    face_colors = cache(_face_colors)
+
+    def left_row(l, left, row):
+        if not left:
+            return l
+        if l is not None:
+            raise LeftArrowError(
+                f"left arrows at segment {n - 1} in rows {l} and {row}")
+        return row
+
+    bottom = (True,) * n
+    frontier = Counter({(bottom, 0, None, *_face_colors(bottom, 0)): 1})
+    for i in range(n):
+        advanced: Counter = Counter()
+        for (below, m, l, k0, k1, k2), cnt in frontier.items():
+            for positive in (False, True):
+                turn_face = -1 if positive else 1
+                for mid, left_lower in fill(below, not positive):
+                    l_mid = left_row(l, left_lower, 2 * i + 1)
+                    a0, a1, a2 = face_colors(mid, turn_face)
+                    for above, left_upper in fill(mid, positive):
+                        b0, b1, b2 = face_colors(above, 0)
+                        key = (above, m + positive,
+                               left_row(l_mid, left_upper, 2 * i + 2),
+                               k0 + a0 + b0, k1 + a1 + b1, k2 + a2 + b2)
+                        advanced[key] += cnt
+        frontier = advanced
+
+    top = (False,) * n
     total: Counter = Counter()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for tally in pool.map(_count_for_turns, tasks):
-                total.update(tally)
-    else:
-        for task in tasks:
-            total.update(_count_for_turns(task))
+    for (edges, m, l, k0, k1, k2), cnt in frontier.items():
+        if edges != top:
+            continue
+        if l is None:
+            raise LeftArrowError(f"a state has no left arrow at segment {n - 1}")
+        total[(m, l, k0, k1, k2)] += cnt
     return CountTable(n, dict(total))
 
 

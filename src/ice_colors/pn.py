@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .exact import ONE, Poly, RatFun, format_fraction
+from .exact import Poly, format_fraction
 from .lattice import CountTable
 from .tpoly import pn_via_T
 
@@ -66,14 +66,14 @@ _P = Poly([0, -1, 1])  # z(z-1)
 _Q = Poly([1, 1])      # z+1
 
 
-def _assemble(terms: list[tuple[int, int, int]]) -> RatFun:
+def _assemble(terms: list[tuple[int, int, int]]) -> Poly:
     """Sum of coeff * P^e1 * Q^(-e2) over a shared denominator, reduced.
 
     The aggregate is a polynomial whenever the counts are consistent, so the
     trailing divisions must be exact; a remainder means corrupt input.
     """
     if not terms:
-        return RatFun(Poly(), ONE)
+        return Poly()
     e1_floor = min(0, min(e1 for _, e1, _ in terms))
     e2_ceil = max(0, max(e2 for _, _, e2 in terms))
     acc = Poly()
@@ -83,11 +83,11 @@ def _assemble(terms: list[tuple[int, int, int]]) -> RatFun:
         acc = acc.exact_div(_P ** (-e1_floor))
     if e2_ceil > 0:
         acc = acc.exact_div(_Q**e2_ceil)
-    return RatFun(acc, ONE)
+    return acc
 
 
 def pn_from_counts(table: CountTable, n: int, m: int,
-                   variant: CountFormula) -> RatFun:
+                   variant: CountFormula) -> Poly:
     """Raw variant sum (the binomial times the polynomial), exact.
 
     Rows outside [1, 2n] contribute nothing; the loop runs over a superset
@@ -146,10 +146,10 @@ def pn_consistent(n: int, table: CountTable | None = None) -> Poly:
                 if not raw.is_zero():
                     raise ConsistencyError(
                         f"{label}: zero binomial but nonzero sum "
-                        f"{[format_fraction(c) for c in raw.num.coeffs]}"
+                        f"{[format_fraction(c) for c in raw.coeffs]}"
                     )
                 continue
-            results[label] = (raw * RatFun(Poly([Fraction(1, binom)]), ONE)).to_poly()
+            results[label] = raw * Fraction(1, binom)
     reference_label, reference = next(iter(results.items()))
     for label, poly in results.items():
         if poly != reference:

@@ -88,10 +88,6 @@ class ModelParams:
         return cmath.exp(-1j * math.pi * self.eta * x) * theta(self.q_pow(x), self.p)
 
 
-def bracket(x: complex, params: ModelParams) -> complex:
-    return params.bracket(x)
-
-
 def _guard(value: complex) -> complex:
     if abs(value) < _SINGULAR:
         raise NearSingularError("denominator too close to zero")
@@ -276,7 +272,7 @@ def x_numeric(z: complex, p: complex) -> complex:
 
 __all__ = [
     "ModelParams", "NearSingularError", "OMEGA", "ParamSampler", "TWO_PI_I",
-    "bracket", "det_complex", "partition_brute", "partition_filali",
-    "psi_numeric", "resample", "state_weight", "theta", "theta_pm",
-    "turn_weight", "vertex_weight", "x_numeric",
+    "det_complex", "partition_brute", "partition_filali", "psi_numeric",
+    "resample", "state_weight", "theta", "theta_pm", "turn_weight",
+    "vertex_weight", "x_numeric",
 ]

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from ice_colors import cli, pn
 from ice_colors.cli import build_parser, main, parse_config, run
+from ice_colors.exact import SingularInputError
 
 
 def run_cli(capsys, *argv):
@@ -82,8 +84,31 @@ def test_bench(capsys):
     code, out, _ = run_cli(capsys, "bench", "--n", "1")
     assert code == 0
     payload = json.loads(out)
+    assert set(payload) == {"n", "count_table_s", "pn_consistent_s", "states"}
     assert payload["states"] == 2
     assert payload["pn_consistent_s"] >= 0
+
+
+def test_failed_determinant_route_exits_1(capsys, monkeypatch):
+    def singular(n):
+        raise SingularInputError("every sample grid was singular")
+
+    monkeypatch.setattr(pn, "pn_via_T", singular)
+    code, out, err = run_cli(capsys, "pn", "--n", "1")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "singular" in err
+
+
+def test_failed_consistency_in_bench_exits_1(capsys, monkeypatch):
+    def inconsistent(n, table):
+        raise pn.ConsistencyError("A:m=1 and determinant route disagree")
+
+    monkeypatch.setattr(cli, "pn_consistent", inconsistent)
+    code, out, err = run_cli(capsys, "bench", "--n", "1")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "disagree" in err
 
 
 def test_usage_errors():
@@ -92,6 +117,9 @@ def test_usage_errors():
     assert err.value.code == 2
     with pytest.raises(SystemExit) as err:
         build_parser().parse_args(["frobnicate"])
+    assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        build_parser().parse_args(["counts", "--n", "1", "--threads", "2"])
     assert err.value.code == 2
 
 

@@ -1,8 +1,10 @@
+from collections import Counter
 from math import comb
 
 import pytest
 
-from ice_colors.lattice import (IceRuleError,
+from ice_colors import lattice
+from ice_colors.lattice import (CountTable, IceRuleError,
                                 InconsistentHeightsError, LatticeState,
                                 LeftArrowError, count_table, enumerate_states,
                                 heights, left_arrow_row, render_state, stats,
@@ -189,11 +191,50 @@ def test_count_table_n0():
     ]
 
 
-def test_count_table_conservation_and_workers():
-    seq = count_table(2)
-    assert seq.total() == sum(1 for _ in enumerate_states(2))
-    par = count_table(2, workers=2)
-    assert par.counts == seq.counts
+def per_state_table(n):
+    """The count table rebuilt from every enumerated state's own stats."""
+    tally = Counter()
+    for s in enumerate_states(n):
+        if n == 0:  # stats are undefined on the empty lattice
+            tally[(None, None, *heights(s).color_counts())] += 1
+        else:
+            st = stats(s)
+            tally[(st.m, st.l, st.k0, st.k1, st.k2)] += 1
+    return CountTable(n, dict(tally))
+
+
+def test_count_table_matches_per_state_reference():
+    for n in range(5):
+        table, reference = count_table(n), per_state_table(n)
+        assert table.records() == reference.records()
+        assert table.to_json() == reference.to_json()
+        assert table.to_csv() == reference.to_csv()
+
+
+def test_count_table_m_marginals_match_transfer_oracle():
+    for n in range(1, 6):
+        by_m = Counter()
+        for (m, _l, _k0, _k1, _k2), cnt in count_table(n).counts.items():
+            by_m[m] += cnt
+        assert dict(by_m) == transfer_counts_by_m(n)
+
+
+def test_count_table_n5_totals():
+    table = count_table(5)
+    assert table.total() == 1468320
+    assert len(table.counts) == 2506
+
+
+def test_count_table_left_arrow_errors(monkeypatch):
+    fills = lattice._row_fills
+    monkeypatch.setattr(lattice, "_row_fills", lambda below, w0: [
+        (above, True) for above, _left in fills(below, w0)])
+    with pytest.raises(LeftArrowError):
+        count_table(2)
+    monkeypatch.setattr(lattice, "_row_fills", lambda below, w0: [
+        (above, False) for above, _left in fills(below, w0)])
+    with pytest.raises(LeftArrowError):
+        count_table(2)
 
 
 def test_count_table_serialization_round_trip():

@@ -13,6 +13,8 @@ from ice_colors.tpoly import pn_via_T
 P1 = Poly([1, 1, 2])
 P2 = Poly([1, 2, 7, 10, 21, 12, 11])
 P3 = Poly([1, 3, 15, 35, 105, 195, 435, 555, 840, 710, 738, 294, 170])
+P4 = Poly([1, 4, 26, 82, 319, 840, 2488, 5572, 13524, 24920, 48776, 72800,
+           114716, 135464, 169536, 148972, 141835, 85044, 58406, 17822, 7429])
 
 
 @pytest.fixture(scope="module")
@@ -32,11 +34,11 @@ def test_variant_bookkeeping():
 
 def test_n1_variant_examples(tables):
     table = tables[1]
-    assert pn_from_counts(table, 1, 1, VARIANT_A).to_poly() == Poly([1])
+    assert pn_from_counts(table, 1, 1, VARIANT_A) == Poly([1])
     assert pn_from_counts(table, 1, 0, VARIANT_A).is_zero()
-    assert pn_from_counts(table, 1, 0, VARIANT_C).to_poly() == Poly([1])
-    assert pn_from_counts(table, 1, 0, VARIANT_B).to_poly() == Poly([1])
-    assert pn_from_counts(table, 1, 1, VARIANT_B).to_poly() == Poly([1])
+    assert pn_from_counts(table, 1, 0, VARIANT_C) == Poly([1])
+    assert pn_from_counts(table, 1, 0, VARIANT_B) == Poly([1])
+    assert pn_from_counts(table, 1, 1, VARIANT_B) == Poly([1])
 
 
 def test_zero_binomial_sums_vanish(tables):
@@ -53,7 +55,7 @@ def test_variant_m_independence(tables):
                 binom = variant.binomial(n, m)
                 if binom == 0:
                     continue
-                raw = pn_from_counts(table, n, m, variant).to_poly()
+                raw = pn_from_counts(table, n, m, variant)
                 polys.add(Poly([c / binom for c in raw.coeffs]))
         assert len(polys) == 1
 
@@ -62,6 +64,13 @@ def test_pn_consistent_small(tables):
     assert pn_consistent(1, tables[1]) == Poly([1])
     assert pn_consistent(2, tables[2]) == P1
     assert pn_consistent(3, tables[3]) == P2
+
+
+def test_pn_consistent_frozen_n5():
+    poly = pn_consistent(5)
+    assert poly == P4
+    assert symmetry_check(poly, 5)
+    assert positivity_report(poly) == []
 
 
 def test_route_equivalence(tables):
