@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from . import __version__
 from .exact import SingularInputError, format_fraction
 from .lattice import count_table, enumerate_states, heights, render_state
-from .pn import ConsistencyError, pn_consistent, positivity_report, symmetry_check
+from .pn import (VARIANTS, ConsistencyError, pn_consistent, positivity_report,
+                 symmetry_check)
 from .theta import ParamSampler
 from .verify import (filali_suite, identity_suite, lattice_suite,
                      specialization_suite)
@@ -141,8 +142,6 @@ def _cmd_pn(cfg: RunConfig, budget: TimeBudget) -> int:
     if cfg.n < 1:
         print("pn needs n >= 1", file=sys.stderr)
         return 2
-    from .pn import VARIANTS
-
     table = count_table(cfg.n)
     budget.check()
     poly = pn_consistent(cfg.n, table)

@@ -161,7 +161,7 @@ def det_exact(matrix: Sequence[Sequence]) -> Fraction:
     if k == 0:
         return Fraction(1)
     rows = [[_frac(x) for x in row] for row in matrix]
-    scale = lcm(*(x.denominator for row in rows for x in row)) if k else 1
+    scale = lcm(*(x.denominator for row in rows for x in row))
     a = [[int(x * scale) for x in row] for row in rows]
 
     sign = 1

@@ -32,7 +32,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
@@ -211,52 +211,51 @@ def enumerate_states(n: int) -> Iterator[LatticeState]:
 
 
 def heights(state: LatticeState) -> HeightGrid:
-    """Propagate face heights from the upper-left face and verify consistency.
+    """Face heights by a direct scan, then a check of every constraint.
 
-    Every edge and turn contributes one difference constraint; the grid is
-    accepted only if all of them hold, so any ice-rule or turn bookkeeping
-    bug surfaces here as :class:`InconsistentHeightsError`.
+    Each arrow fixes the difference across it (the face on its right is one
+    lower), and each turn puts its inner face one below (positive) or one
+    above (negative) both wall faces beside it.  The scan walks down the
+    wall column from the pinned upper-left face through the segment-0
+    horizontal arrows and fills each face row rightward through the
+    vertical arrows.  The constraints not used on the way, horizontal
+    segments 1..n and both sides of every turn, are then checked, so any
+    ice-rule or turn bookkeeping bug surfaces here as
+    :class:`InconsistentHeightsError`.
     """
     n = state.n
-    rows = 2 * n
     if n == 0:
         return HeightGrid(0, ((0,),))
+    rows = 2 * n
 
-    constraints: list[tuple[tuple[int, int], tuple[int, int], int]] = []
+    def mismatch(face, found, want):
+        return InconsistentHeightsError(
+            f"face {face} reachable with heights {found} and {want}")
+
+    wall = [0] * (rows + 1)
+    for r in range(rows - 1, -1, -1):
+        wall[r] = wall[r + 1] - (1 if state.right[r][0] else -1)
+    grid = []
+    for fr, h in enumerate(wall):
+        row = [h]
+        for c in range(n):
+            h += -1 if state.up[c][fr] else 1
+            row.append(h)
+        grid.append(row)
+
     for r in range(rows):
-        for s in range(n + 1):
-            delta = 1 if state.right[r][s] else -1
-            constraints.append(((r, s), (r + 1, s), delta))
-    for c in range(n):
-        for t in range(rows + 1):
-            delta = -1 if state.up[c][t] else 1
-            constraints.append(((t, c), (t, c + 1), delta))
+        below, above, arrows = grid[r], grid[r + 1], state.right[r]
+        for s in range(1, n + 1):
+            want = below[s] + (1 if arrows[s] else -1)
+            if above[s] != want:
+                raise mismatch((r + 1, s), above[s], want)
     for i, pos in enumerate(state.turn_positive):
-        delta = -1 if pos else 1
-        constraints.append(((2 * i, 0), (2 * i + 1, 0), delta))
-        constraints.append(((2 * i + 2, 0), (2 * i + 1, 0), delta))
-
-    adj: dict[tuple[int, int], list[tuple[tuple[int, int], int]]] = {}
-    for a, b, d in constraints:
-        adj.setdefault(a, []).append((b, d))
-        adj.setdefault(b, []).append((a, -d))
-
-    grid: dict[tuple[int, int], int] = {(rows, 0): 0}
-    queue = deque([(rows, 0)])
-    while queue:
-        face = queue.popleft()
-        for other, d in adj[face]:
-            value = grid[face] + d
-            if other not in grid:
-                grid[other] = value
-                queue.append(other)
-            elif grid[other] != value:
-                raise InconsistentHeightsError(
-                    f"face {other} reachable with heights {grid[other]} and {value}"
-                )
-    return HeightGrid(
-        n, tuple(tuple(grid[(fr, fc)] for fc in range(n + 1)) for fr in range(rows + 1))
-    )
+        inner = wall[2 * i + 1]
+        for side in (wall[2 * i], wall[2 * i + 2]):
+            want = side + (-1 if pos else 1)
+            if inner != want:
+                raise mismatch((2 * i + 1, 0), inner, want)
+    return HeightGrid(n, tuple(map(tuple, grid)))
 
 
 def vertex_census(state: LatticeState) -> VertexCensus:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb
 
 from .exact import Poly, format_fraction
-from .lattice import CountTable
+from .lattice import CountTable, count_table
 from .tpoly import pn_via_T
 
 
@@ -133,8 +133,6 @@ def pn_consistent(n: int, table: CountTable | None = None) -> Poly:
     if n < 1:
         raise ValueError("n must be >= 1")
     if table is None:
-        from .lattice import count_table
-
         table = count_table(n)
     results: dict[str, Poly] = {}
     for variant in VARIANTS:

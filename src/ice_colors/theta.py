@@ -15,6 +15,8 @@ import math
 import random
 from dataclasses import dataclass
 
+from .lattice import enumerate_states, heights, vertex_kinds
+
 TWO_PI_I = 2j * math.pi
 OMEGA = cmath.exp(TWO_PI_I / 3)
 
@@ -123,8 +125,6 @@ def turn_weight(kind: str, lam: complex, z: int, params: ModelParams) -> complex
 
 
 def state_weight(state, params: ModelParams) -> complex:
-    from .lattice import heights, vertex_kinds
-
     n = state.n
     grid = heights(state).heights
     kinds = vertex_kinds(state)
@@ -147,8 +147,6 @@ def state_weight(state, params: ModelParams) -> complex:
 
 def partition_brute(n: int, params: ModelParams) -> complex:
     """State sum of local weights; exponential in n, intended for n <= 3."""
-    from .lattice import enumerate_states
-
     if params.n != n or len(params.mu) != n:
         raise ValueError("parameter count does not match n")
     return sum(state_weight(s, params) for s in enumerate_states(n))

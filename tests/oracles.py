@@ -3,7 +3,8 @@
 Nothing here reuses the package's enumeration logic: the brute-force oracle
 filters every possible edge assignment, and the transfer oracle marches row
 configurations with its own ice-rule bookkeeping.  Both exist so that bugs
-in the production DFS cannot hide.
+in the package's state enumeration (``enumerate_states``) and its
+row-transfer counting (``count_table``) cannot hide.
 """
 
 from __future__ import annotations

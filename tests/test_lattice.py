@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from ice_colors import lattice
+from ice_colors import lattice, verify
 from ice_colors.lattice import (CountTable, IceRuleError,
                                 InconsistentHeightsError, LatticeState,
                                 LeftArrowError, count_table, enumerate_states,
@@ -168,6 +168,29 @@ def test_left_arrow_error_on_corrupt_state():
         left_arrow_row(broken)
 
 
+def _flip(arrows, i, j):
+    """``arrows`` with entry ``[i][j]`` reversed."""
+    row = list(arrows[i])
+    row[j] = not row[j]
+    return arrows[:i] + (tuple(row),) + arrows[i + 1:]
+
+
+def single_corruptions(s):
+    """``s`` with one horizontal arrow, vertical arrow or turn reversed, in
+    every possible way."""
+    n = s.n
+    for r in range(2 * n):
+        for seg in range(n + 1):
+            yield LatticeState(n, _flip(s.right, r, seg), s.up, s.turn_positive)
+    for c in range(n):
+        for t in range(2 * n + 1):
+            yield LatticeState(n, s.right, _flip(s.up, c, t), s.turn_positive)
+    for i in range(n):
+        turns = list(s.turn_positive)
+        turns[i] = not turns[i]
+        yield LatticeState(n, s.right, s.up, tuple(turns))
+
+
 def test_corrupt_edge_breaks_heights_and_classification():
     s = next(iter(enumerate_states(1)))
     flipped_mid = tuple((s.up[0][0], not s.up[0][1], s.up[0][2]))
@@ -176,6 +199,36 @@ def test_corrupt_edge_breaks_heights_and_classification():
         heights(broken)
     with pytest.raises(IceRuleError):
         vertex_kinds(broken)
+    # Every constraint family is checked: reversing any single arrow or turn
+    # of any state breaks the heights.
+    cases = 0
+    for n in (1, 2, 3):
+        for state in enumerate_states(n):
+            for broken in single_corruptions(state):
+                with pytest.raises(InconsistentHeightsError):
+                    heights(broken)
+                cases += 1
+    assert cases == 2 * 8 + 12 * 24 + 208 * 48 == 10288
+
+
+def test_state_violations_computes_each_invariant_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(state):
+            calls[name] += 1
+            return fn(state)
+        return wrapper
+
+    for name in ("heights", "vertex_census", "left_arrow_row"):
+        wrapper = counted(name, getattr(lattice, name))
+        monkeypatch.setattr(lattice, name, wrapper)
+        monkeypatch.setattr(verify, name, wrapper)
+    states = list(enumerate_states(3))
+    assert len(states) == 208
+    for state in states:
+        assert state_violations(state) == []
+    assert calls == {"heights": 208, "vertex_census": 208, "left_arrow_row": 208}
 
 
 def test_count_table_n1_exact():
