@@ -119,7 +119,6 @@ class StateStats:
     k0: int
     k1: int
     k2: int
-    census: VertexCensus
 
 
 CountKey = tuple[Optional[int], Optional[int], int, int, int]
@@ -294,7 +293,6 @@ def stats(state: LatticeState) -> StateStats:
         k0=k0,
         k1=k1,
         k2=k2,
-        census=vertex_census(state),
     )
 
 
@@ -335,19 +333,6 @@ class CountTable:
                 rec["k0"], rec["k1"], rec["k2"], rec["count"],
             ])
         return buf.getvalue()
-
-    def color_marginal(self, color: int) -> dict[tuple[int, int], dict[int, int]]:
-        """Counts N_{m,l}(k) for one color, as {(m, l): {k: count}}."""
-        if color not in (0, 1, 2):
-            raise ValueError("color must be 0, 1 or 2")
-        marg: dict[tuple[int, int], dict[int, int]] = {}
-        for (m, l, k0, k1, k2), cnt in self.counts.items():
-            if m is None or l is None:
-                continue
-            k = (k0, k1, k2)[color]
-            bucket = marg.setdefault((m, l), {})
-            bucket[k] = bucket.get(k, 0) + cnt
-        return marg
 
 
 def _row_fills(below: tuple[bool, ...], w0: bool) -> list[tuple[tuple[bool, ...], bool]]:

@@ -1,13 +1,14 @@
 """Polynomials from three-color state counts, three ways.
 
 Each variant turns the count table into a signed sum of terms
-``count * (z(z-1))^e1 / (z+1)^e2`` over rows ``l`` congruent to ``n`` mod 3,
-weighted by the census of one face color.  The raw sum equals a binomial
-coefficient times one and the same polynomial for every variant and every
-admissible number of positive turns; poles at z in {-1, 0, 1} live only in
-individual terms and must cancel in the aggregate.  Dividing by the binomial
-and comparing across variants, and against the determinant route, is the
-strongest end-to-end check this model admits.
+``count * (z+1)^(n(n-1)) * (z(z-1)/(z+1)^2)^e`` over rows ``l`` congruent to
+``n`` mod 3, where the exponent ``e`` depends on the census of one face
+color.  A term is a polynomial unless ``e`` leaves ``[0, n(n-1)/2]``; then
+the aggregate is taken over a shared denominator, which must divide it
+exactly.  The raw sum equals a binomial coefficient times one and the same
+polynomial for every variant and every admissible number of positive turns.
+Dividing by the binomial and comparing across variants, and against the
+determinant route, is the strongest end-to-end check this model admits.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .exact import Poly, format_fraction
+from .exact import Poly, SingularInputError, format_fraction
 from .lattice import CountTable, count_table
 from .tpoly import pn_via_T
 
@@ -28,8 +29,8 @@ class ConsistencyError(AssertionError):
 @dataclass(frozen=True)
 class CountFormula:
     """One of the three count formulas: which color enters, which binomial
-    scales the polynomial, which neighbouring rows are summed, and the two
-    exponent laws (returned times 3, so integrality can be asserted)."""
+    scales the polynomial, which neighbouring rows are summed, and the
+    exponent law (returned times 3, so integrality can be asserted)."""
 
     tag: str
     color: int
@@ -44,17 +45,16 @@ class CountFormula:
     def row_offsets(self) -> tuple[int, int]:
         return {"A": (0, -1), "B": (0, 1), "C": (1, 2)}[self.tag]
 
-    def exponent_numerators(self, n: int, m: int, l: int, k: int) -> tuple[int, int]:
+    def exponent_numerator(self, n: int, m: int, l: int, k: int) -> int:
+        """Three times the power of z(z-1) in the term of row ``l`` with
+        ``k`` faces of this color."""
         c = 3 if n % 3 in (0, 1) else 1
         d = 0 if n % 3 in (0, 1) else 1
         if self.tag == "A":
-            return (3 * k - n * n - 6 * n + l - c,
-                    6 * k - 5 * n * n - 9 * n + 2 * l - 2 * c)
+            return 3 * k - n * n - 6 * n + l - c
         if self.tag == "B":
-            return (3 * k - n * n - 6 * n + 3 * m + l - d,
-                    6 * k - 5 * n * n - 9 * n + 6 * m + 2 * l - 2 * d)
-        return (3 * k - n * n - 3 * n - 3 * m + l - d,
-                6 * k - 5 * n * n - 3 * n - 6 * m + 2 * l - 2 * d)
+            return 3 * k - n * n - 6 * n + 3 * m + l - d
+        return 3 * k - n * n - 3 * n - 3 * m + l - d
 
 
 VARIANT_A = CountFormula("A", 0)
@@ -66,23 +66,25 @@ _P = Poly([0, -1, 1])  # z(z-1)
 _Q = Poly([1, 1])      # z+1
 
 
-def _assemble(terms: list[tuple[int, int, int]]) -> Poly:
-    """Sum of coeff * P^e1 * Q^(-e2) over a shared denominator, reduced.
+def _assemble(sums: dict[int, int], n: int) -> Poly:
+    """Sum of c * P^e * Q^(n(n-1)-2e) over ``{e: c}``, exact.
 
-    The aggregate is a polynomial whenever the counts are consistent, so the
-    trailing divisions must be exact; a remainder means corrupt input.
+    Exponents outside [0, n(n-1)/2] put P or Q in a shared denominator.
+    The aggregate is a polynomial whenever the counts are consistent, so
+    the trailing divisions must be exact; a remainder means corrupt input.
     """
-    if not terms:
+    if not sums:
         return Poly()
-    e1_floor = min(0, min(e1 for _, e1, _ in terms))
-    e2_ceil = max(0, max(e2 for _, _, e2 in terms))
+    top = n * (n - 1)
+    p_den = max(0, -min(sums))
+    q_den = max(0, 2 * max(sums) - top)
     acc = Poly()
-    for coeff, e1, e2 in terms:
-        acc = acc + coeff * _P ** (e1 - e1_floor) * _Q ** (e2_ceil - e2)
-    if e1_floor < 0:
-        acc = acc.exact_div(_P ** (-e1_floor))
-    if e2_ceil > 0:
-        acc = acc.exact_div(_Q**e2_ceil)
+    for e, c in sums.items():
+        acc = acc + c * _P ** (e + p_den) * _Q ** (top - 2 * e + q_den)
+    if p_den:
+        acc = acc.exact_div(_P**p_den)
+    if q_den:
+        acc = acc.exact_div(_Q**q_den)
     return acc
 
 
@@ -90,38 +92,37 @@ def pn_from_counts(table: CountTable, n: int, m: int,
                    variant: CountFormula) -> Poly:
     """Raw variant sum (the binomial times the polynomial), exact.
 
-    Rows outside [1, 2n] contribute nothing; the loop runs over a superset
-    of the residue class so that every referenced row index is covered.
-    Every nonzero term must have exponents divisible by 3.
+    One pass over the cells with ``m`` positive turns: a cell in row ``l'``
+    enters row ``l = l' - off`` for the one row offset (the two differ by
+    one) with ``l`` congruent to ``n`` mod 3, signed by the parity of
+    ``n + l``; signed counts are summed per exponent.  Every nonzero term
+    must have an exponent divisible by 3.
     """
     if table.n != n:
         raise ValueError("count table does not match n")
     if not 0 <= m <= n:
         raise ValueError("m out of range")
-    marg = table.color_marginal(variant.color)
-    off_a, off_b = variant.row_offsets()
-    terms: list[tuple[int, int, int]] = []
-    for l in range(-3, 2 * n + 4):
-        if (l - n) % 3:
+    offsets = variant.row_offsets()
+    sums: dict[int, int] = {}
+    for (cell_m, row, *ks), cnt in table.counts.items():
+        if cell_m != m or not cnt:
             continue
-        combined: dict[int, int] = {}
-        for off in (off_a, off_b):
-            for k, cnt in marg.get((m, l + off), {}).items():
-                combined[k] = combined.get(k, 0) + cnt
-        sign = -1 if (n + l) % 2 else 1
-        for k, cnt in sorted(combined.items()):
-            if cnt == 0:
+        for off in offsets:
+            l = row - off
+            if (l - n) % 3:
                 continue
-            e1_num, e2_num = variant.exponent_numerators(n, m, l, k)
-            if e1_num % 3 or e2_num % 3:
+            k = ks[variant.color]
+            e_num = variant.exponent_numerator(n, m, l, k)
+            if e_num % 3:
                 raise ConsistencyError(
                     f"variant {variant.tag}, m={m}, l={l}, k={k}: "
-                    f"non-integer exponent {e1_num}/3 or {e2_num}/3 on a nonzero term"
+                    f"non-integer exponent {e_num}/3 on a nonzero term"
                 )
-            terms.append((sign * cnt, e1_num // 3, e2_num // 3))
+            e = e_num // 3
+            sums[e] = sums.get(e, 0) + (-cnt if (n + l) % 2 else cnt)
     try:
-        return _assemble(terms)
-    except Exception as err:
+        return _assemble(sums, n)
+    except SingularInputError as err:
         raise ConsistencyError(
             f"variant {variant.tag}, m={m}: sum does not reduce to a polynomial"
         ) from err

@@ -14,6 +14,7 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 from .lattice import enumerate_states, heights, vertex_kinds
 
@@ -85,9 +86,14 @@ class ModelParams:
     def q_pow(self, x: complex) -> complex:
         return cmath.exp(TWO_PI_I * self.eta * x)
 
-    def bracket(self, x: complex) -> complex:
-        """[x] = q^(-x/2) theta(q^x)."""
-        return cmath.exp(-1j * math.pi * self.eta * x) * theta(self.q_pow(x), self.p)
+    @cached_property
+    def bracket(self):
+        """[x] = q^(-x/2) theta(q^x), evaluated once per distinct x."""
+        @cache
+        def bracket(x: complex) -> complex:
+            return (cmath.exp(-1j * math.pi * self.eta * x)
+                    * theta(self.q_pow(x), self.p))
+        return bracket
 
 
 def _guard(value: complex) -> complex:
@@ -204,8 +210,8 @@ class ParamSampler:
     conditioned: exponents with Re in [-0.4, 0.4] and Im in [0.1, 0.5],
     nome with modulus in [0.05, 0.3]."""
 
-    def __init__(self, seed: int | random.Random = 0):
-        self.rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    def __init__(self, seed: int = 0):
+        self.rng = random.Random(seed)
 
     def exponent(self) -> complex:
         return complex(self.rng.uniform(-0.4, 0.4), self.rng.uniform(0.1, 0.5))
@@ -228,11 +234,10 @@ class ParamSampler:
             zeta=self.exponent(),
         )
 
-    def supersymmetric_params(self, n: int, mu_last: complex | None = None) -> ModelParams:
+    def supersymmetric_params(self, n: int) -> ModelParams:
         """eta = -2/3 with unit spectral parameters; only the last vertical
         line keeps a free parameter."""
-        if mu_last is None:
-            mu_last = self.exponent()
+        mu_last = self.exponent()
         return ModelParams(
             p=self.nome(),
             eta=-2.0 / 3.0,

@@ -276,13 +276,6 @@ def quarter_point_state_sum(n: int, params: ModelParams, table: CountTable) -> c
     return prefactor * total
 
 
-def _eval_poly_complex(poly: Poly, z: complex) -> complex:
-    acc = 0j
-    for c in reversed(poly.coeffs):
-        acc = acc * z + complex(c)
-    return acc
-
-
 def quarter_point_determinant(n: int, params: ModelParams, pn_poly: Poly) -> complex:
     """The determinant route at the quarter point: prefactors times the
     coalesced T value, the latter reproduced from the exact polynomial."""
@@ -292,7 +285,7 @@ def quarter_point_determinant(n: int, params: ModelParams, pn_poly: Poly) -> com
     psi = psi_numeric(p)
     t_value = ((psi / (2 * psi + 1)) ** (n - 1)
                * ((psi + 1) * (2 * psi + 1) ** 2) ** (n * n - n)
-               * _eval_poly_complex(pn_poly, -1 / (2 * psi + 1)))
+               * pn_poly(-1 / (2 * psi + 1)))
 
     c_const = (theta(-OMEGA, p) ** 2 * theta(-sp, p)
                / (OMEGA * theta(-1 + 0j, p) * theta(sp, p) ** 2

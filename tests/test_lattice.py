@@ -303,12 +303,6 @@ def test_count_table_serialization_round_trip():
     assert len(csv_text.splitlines()) == len(records) + 1
 
 
-def test_color_marginal_sums():
-    table = count_table(2)
-    marg = table.color_marginal(0)
-    assert sum(c for bucket in marg.values() for c in bucket.values()) == table.total()
-
-
 def test_render_state_contains_heights_and_arrows():
     s = next(iter(enumerate_states(1)))
     art = render_state(s)

@@ -97,6 +97,14 @@ def test_corrupt_counts_detected():
         pn_consistent(2, CountTable(2, bad))
 
 
+def test_non_polynomial_sum_rejected():
+    # Under variant B the single cell (m=0, l=2, k1=1) has exponent -4, so the
+    # sum is (z+1)^10 / (z(z-1))^4, which no exact division can clear.
+    table = CountTable(2, {(0, 2, 0, 1, 0): 1})
+    with pytest.raises(ConsistencyError, match="does not reduce"):
+        pn_from_counts(table, 2, 0, VARIANT_B)
+
+
 def test_symmetry_check_examples():
     assert symmetry_check(Poly([1]), 1)
     assert not symmetry_check(Poly([0, 1]), 2)

@@ -1,4 +1,5 @@
 import cmath
+import importlib
 
 import pytest
 
@@ -159,6 +160,22 @@ def test_mismatched_parameter_count():
     s = sampler()
     with pytest.raises(ValueError):
         partition_brute(2, s.params(1))
+
+
+def test_bracket_evaluated_once_per_argument(monkeypatch):
+    # One n = 3 state sum takes about 12,000 brackets over 208 states, but
+    # only a few dozen distinct arguments; each is evaluated once per draw.
+    module = importlib.import_module("ice_colors.theta")
+    calls = 0
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return theta(*args, **kwargs)
+
+    monkeypatch.setattr(module, "theta", counting)
+    partition_brute(3, sampler().params(3))
+    assert 0 < calls < 200
 
 
 def test_model_params_validation():
