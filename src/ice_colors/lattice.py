@@ -112,15 +112,6 @@ class VertexCensus:
     rightmost: Mapping[str, int]
 
 
-@dataclass(frozen=True)
-class StateStats:
-    m: int
-    l: int
-    k0: int
-    k1: int
-    k2: int
-
-
 CountKey = tuple[Optional[int], Optional[int], int, int, int]
 
 
@@ -283,19 +274,6 @@ def left_arrow_row(state: LatticeState) -> int:
     return hits[0] + 1
 
 
-def stats(state: LatticeState) -> StateStats:
-    if state.n == 0:
-        raise ValueError("stats are undefined for the empty n=0 lattice")
-    k0, k1, k2 = heights(state).color_counts()
-    return StateStats(
-        m=sum(state.turn_positive),
-        l=left_arrow_row(state),
-        k0=k0,
-        k1=k1,
-        k2=k2,
-    )
-
-
 @dataclass
 class CountTable:
     """Aggregated state counts keyed by (m, l, k0, k1, k2)."""
@@ -379,7 +357,7 @@ def count_table(n: int) -> CountTable:
     A face row's colors follow from its vertical edges and its wall face: 0
     on even face rows, -1 or +1 inside a positive or negative turn.  Row
     fills are memoised per (edges below, turn-side arrow).  No state is
-    built; ``enumerate_states`` with ``stats`` is the per-state reference.
+    built; ``enumerate_states`` is the per-state reference.
     """
     if n < 0:
         raise ValueError("n must be >= 0")

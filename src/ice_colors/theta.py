@@ -130,10 +130,18 @@ def turn_weight(kind: str, lam: complex, z: int, params: ModelParams) -> complex
     raise ValueError(f"unknown turn kind {kind!r}")
 
 
-def state_weight(state, params: ModelParams) -> complex:
-    n = state.n
-    grid = heights(state).heights
-    kinds = vertex_kinds(state)
+@cache
+def _brute_skeleton(n: int) -> tuple:
+    """(face heights, vertex kinds, turn signs) of every state, in
+    enumeration order; no parameter draw changes them."""
+    return tuple((heights(s).heights, vertex_kinds(s), s.turn_positive)
+                 for s in enumerate_states(n))
+
+
+def state_weight(grid, kinds, turn_positive, params: ModelParams) -> complex:
+    """Product of the local weights of one state, given its face heights,
+    vertex kinds and turn signs."""
+    n = len(turn_positive)
     weight = 1 + 0j
     for r in range(2 * n):
         pair = r // 2
@@ -146,7 +154,7 @@ def state_weight(state, params: ModelParams) -> complex:
                 lam_arg = params.lam[pair] + params.mu[c]
                 z = grid[r][c]  # lower-left face
             weight *= vertex_weight(kinds[r][c], lam_arg, z, params)
-    for i, pos in enumerate(state.turn_positive):
+    for i, pos in enumerate(turn_positive):
         weight *= turn_weight("k+" if pos else "k-", params.lam[i], 0, params)
     return weight
 
@@ -155,7 +163,7 @@ def partition_brute(n: int, params: ModelParams) -> complex:
     """State sum of local weights; exponential in n, intended for n <= 3."""
     if params.n != n or len(params.mu) != n:
         raise ValueError("parameter count does not match n")
-    return sum(state_weight(s, params) for s in enumerate_states(n))
+    return sum(state_weight(*skeleton, params) for skeleton in _brute_skeleton(n))
 
 
 def det_complex(matrix: list[list[complex]]) -> complex:

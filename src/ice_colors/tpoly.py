@@ -1,26 +1,30 @@
-"""The symmetric determinant ratio T and the polynomials it encodes.
+"""The symmetric determinant ratio T at its coalesced point, and p_n from it.
 
-``T(x_1..x_2n)`` is a product of G-kernel values times the determinant of
-their reciprocals, divided by the Vandermonde of each half of the argument
-list.  It is a symmetric polynomial, so its value at repeated arguments is
-well defined even though the raw formula degenerates there.  We reach that
-value exactly by perturbing the arguments along pairwise-distinct rational
-directions, sampling in the perturbation size t, interpolating, and reading
-off t = 0.  Each determinant term carries n(n-1) G factors of total degree 3
-over Vandermondes of degree n(n-1), so degree 2n(n-1) in t is an upper
-bound; one spare sample verifies the interpolant is not underdetermined.
+``T(x; y) = prod G(x_i, y_j) * det[1/G(x_i, y_j)] / (V(x) * V(y))`` over n
+arguments in each group is a symmetric polynomial, so its value at repeated
+arguments is the limit of the raw formula.  The target specialization puts
+every x and all but the last y at ``a = 2*psi+1``, and the last y at psi.
+As arguments coalesce, the determinant over the Vandermonde turns its rows
+and columns into Taylor coefficients (the confluent-Vandermonde limit):
 
-The target specialization fixes all arguments to 2*psi+1 except one, which
-is set to psi.  Dividing by the closed-form prefactor in psi and sampling
-over rational psi-values reconstructs a polynomial p in z = -1/(2*psi+1)
-of degree n(n-1) with constant term 1.
+    T = G(a,a)^(n(n-1)) * G(a,psi)^n * det C / (psi - a)^(n-1),
+
+where ``C[i][j] = [u^i v^j] 1/G(a+u, a+v)`` for ``j < n-1`` and
+``C[i][n-1] = [u^i] 1/G(a+u, psi)``.  G is quadratic in each argument, so
+its Taylor coefficients are read off values on a 3x3 grid, and those of
+1/G follow by series inversion.  G(a,a) = 2(psi+1)^2(2psi+1)^2 and
+G(a,psi) = 2psi^2(psi+1)^2 vanish at no admissible psi, so every
+evaluation is one exact determinant.
+
+Dividing by the closed-form prefactor in psi and sampling over rational
+psi-values reconstructs a polynomial p in z = -1/(2*psi+1) of degree n(n-1)
+with constant term 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .exact import Poly, SingularInputError, det_exact, interpolate
 
@@ -30,37 +34,6 @@ def g_eval(x, y, psi):
     s = x + y
     return ((psi + 2) * x * y * s + psi * (2 * psi + 1) * s
             - 2 * (psi * psi + 3 * psi + 1) * x * y - psi * (x * x + y * y))
-
-
-def _vandermonde(xs: Sequence[Fraction]) -> Fraction:
-    prod = Fraction(1)
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            prod *= xs[j] - xs[i]
-    return prod
-
-
-def t_eval_distinct(xs: Sequence[Fraction], psi: Fraction) -> Fraction:
-    """T at pairwise-distinct (within each half) arguments, exactly."""
-    if len(xs) % 2:
-        raise ValueError("T needs an even number of arguments")
-    n = len(xs) // 2
-    if n == 0:
-        return Fraction(1)
-    first, second = xs[:n], xs[n:]
-    v1 = _vandermonde(first)
-    v2 = _vandermonde(second)
-    if v1 == 0 or v2 == 0:
-        raise SingularInputError("coincident arguments within a group")
-    g = [[g_eval(first[j], second[i], psi) for j in range(n)] for i in range(n)]
-    prod = Fraction(1)
-    for row in g:
-        for value in row:
-            if value == 0:
-                raise SingularInputError("zero G factor")
-            prod *= value
-    det = det_exact([[1 / value for value in row] for row in g])
-    return prod * det / (v1 * v2)
 
 
 @dataclass(frozen=True)
@@ -89,80 +62,45 @@ class PsiPoint:
         return PsiPoint(Fraction(-(1 + z), 2 * z))
 
 
-@dataclass(frozen=True)
-class CoalescedSpec:
-    """Targets for a coalesced T evaluation, with perturbation directions."""
-
-    first_group: tuple[Fraction, ...]
-    second_group: tuple[Fraction, ...]
-    directions: tuple[Fraction, ...] = ()
-    samples: int = 0
-
-    def __post_init__(self):
-        if len(self.first_group) != len(self.second_group):
-            raise ValueError("groups must have equal size")
-        n = len(self.first_group)
-        dirs = self.directions or tuple(Fraction(i) for i in range(1, 2 * n + 1))
-        if len(dirs) != 2 * n or len(set(dirs)) != 2 * n:
-            raise ValueError("need 2n pairwise-distinct directions")
-        object.__setattr__(self, "directions", tuple(Fraction(d) for d in dirs))
-        if self.samples <= 0:
-            # degree bound + 1 nodes, + 1 residual point
-            object.__setattr__(self, "samples", 2 * n * (n - 1) + 2)
+def _quadratic(at_minus, at_zero, at_plus) -> tuple:
+    """Coefficients of the quadratic taking these values at -1, 0 and 1."""
+    return (at_zero, (at_plus - at_minus) / 2, (at_plus + at_minus) / 2 - at_zero)
 
 
-_SAMPLE_DENOMS = (1, 2, 3, 5, 7, 11, 13, 17)
+def _inverse_series(g, rows: int, cols: int) -> list[list[Fraction]]:
+    """``[u^i v^j] 1/g`` for i < rows and j < cols, from the coefficients
+    ``g[p][q] = [u^p v^q] g`` of a polynomial with ``g[0][0] != 0``."""
+    h = [[Fraction(0)] * cols for _ in range(rows)]
+    for i in range(rows):
+        for j in range(cols):
+            acc = Fraction(i == 0 and j == 0)
+            for p in range(min(i, len(g) - 1) + 1):
+                for q in range(min(j, len(g[p]) - 1) + 1):
+                    if p or q:
+                        acc -= g[p][q] * h[i - p][j - q]
+            h[i][j] = acc / g[0][0]
+    return h
 
 
-def _retry_denominators(samples: int) -> tuple[int, ...]:
-    # Scaled integer grids share their integer points, so a singular hit at
-    # integer t would survive pure rescaling; denominators above the sample
-    # count keep every node inside (0, 1) and give genuinely fresh grids.
-    return _SAMPLE_DENOMS + tuple(k * samples + 1 for k in (1, 2, 3, 5, 7))
-
-
-def t_eval_coalesced(spec: CoalescedSpec, psi: Fraction) -> Fraction:
-    """Limit value of T at (possibly) repeated arguments.
-
-    Samples T along x_i(t) = target_i + c_i * t at spec.samples nonzero
-    rational t, interpolates, checks the spare point lies on the interpolant
-    and returns the value at t = 0.  A singular sample set is retried on a
-    fresh grid before giving up.
-    """
-    targets = list(spec.first_group) + list(spec.second_group)
-    psi = Fraction(psi)
-    last_err: Exception | None = None
-    for denom in _retry_denominators(spec.samples):
-        ts = [Fraction(j, denom) for j in range(1, spec.samples + 1)]
-        values = []
-        try:
-            for t in ts:
-                xs = [target + c * t for target, c in zip(targets, spec.directions)]
-                values.append(t_eval_distinct(xs, psi))
-        except SingularInputError as err:
-            last_err = err
-            continue
-        interp = interpolate(list(zip(ts[:-1], values[:-1])))
-        if interp(ts[-1]) != values[-1]:
-            raise SingularInputError(
-                "sample count below the true degree of T along this line"
-            )
-        return interp(Fraction(0))
-    raise SingularInputError(f"no nonsingular sample set found: {last_err}")
+def t_at_specialization(point: PsiPoint, n: int) -> Fraction:
+    """T at 2n-1 copies of 2*psi+1 and a single psi, by the confluent limit."""
+    psi, a = point.psi, point.xi0
+    steps = (-1, 0, 1)
+    # [v^q] G(a+du, a+v) for du = -1, 0, 1, then each fitted in u
+    in_v = [_quadratic(*(g_eval(a + du, a + dv, psi) for dv in steps)) for du in steps]
+    by_q = [_quadratic(*(row[q] for row in in_v)) for q in range(3)]
+    g_aa = [[by_q[q][p] for q in range(3)] for p in range(3)]  # [u^p v^q] G(a+u, a+v)
+    g_apsi = _quadratic(*(g_eval(a + du, psi, psi) for du in steps))  # [u^p] G(a+u, psi)
+    at_a = _inverse_series(g_aa, n, n - 1)
+    at_psi = _inverse_series([[c] for c in g_apsi], n, 1)
+    det = det_exact([row_a + row_psi for row_a, row_psi in zip(at_a, at_psi)])
+    return (g_aa[0][0] ** (n * (n - 1)) * g_apsi[0] ** n * det
+            / (psi - a) ** (n - 1))
 
 
 def _prefactor(point: PsiPoint, n: int) -> Fraction:
     psi, xi0 = point.psi, point.xi0
     return (psi / xi0) ** (n - 1) * ((psi + 1) * xi0 * xi0) ** (n * n - n)
-
-
-def t_at_specialization(point: PsiPoint, n: int) -> Fraction:
-    """T at 2n-1 copies of 2*psi+1 and a single psi."""
-    spec = CoalescedSpec(
-        first_group=(point.xi0,) * n,
-        second_group=(point.xi0,) * (n - 1) + (point.psi,),
-    )
-    return t_eval_coalesced(spec, point.psi)
 
 
 def pn_via_T(n: int) -> Poly:

@@ -4,15 +4,20 @@ Nothing here reuses the package's enumeration logic: the brute-force oracle
 filters every possible edge assignment, and the transfer oracle marches row
 configurations with its own ice-rule bookkeeping.  Both exist so that bugs
 in the package's state enumeration (``enumerate_states``) and its
-row-transfer counting (``count_table``) cannot hide.
+row-transfer counting (``count_table``) cannot hide.  Likewise the ratio T
+is evaluated here from its definition at distinct arguments, and its value
+at repeated arguments as a perturbation limit, apart from the package's
+confluent formula (``tpoly.t_at_specialization``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 from ice_colors.lattice import LatticeState
+from ice_colors.tpoly import g_eval
 
 
 def all_assignment_states(n: int) -> list[LatticeState]:
@@ -109,4 +114,33 @@ def cofactor_det(matrix) -> Fraction:
         minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
         sign = -1 if j % 2 else 1
         total += sign * Fraction(matrix[0][j]) * cofactor_det(minor)
+    return total
+
+
+def _vandermonde(xs) -> Fraction:
+    return prod((xs[j] - xs[i] for i in range(len(xs)) for j in range(i + 1, len(xs))),
+                start=Fraction(1))
+
+
+def t_distinct(xs, psi) -> Fraction:
+    """T = prod G * det(1/G) / (V(x) V(y)) at arguments distinct within each
+    half (x the first half, y the second), straight from the definition."""
+    n = len(xs) // 2
+    g = [[g_eval(x, y, psi) for y in xs[n:]] for x in xs[:n]]
+    det = cofactor_det([[1 / value for value in row] for row in g])
+    return (prod((value for row in g for value in row), start=Fraction(1)) * det
+            / (_vandermonde(xs[:n]) * _vandermonde(xs[n:])))
+
+
+def t_perturbation_limit(targets, psi) -> Fraction:
+    """T at possibly repeated arguments: sample T along x_i = target_i + i*t
+    at t = 1..2n(n-1)+1 (T has degree at most 2n(n-1) in t) and evaluate
+    the Lagrange interpolant at t = 0."""
+    n = len(targets) // 2
+    nodes = range(1, 2 * n * (n - 1) + 2)
+    total = Fraction(0)
+    for t in nodes:
+        value = t_distinct([x + i * t for i, x in enumerate(targets, 1)], psi)
+        total += value * prod((Fraction(s, s - t) for s in nodes if s != t),
+                              start=Fraction(1))
     return total

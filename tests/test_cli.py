@@ -91,13 +91,13 @@ def test_bench(capsys):
 
 def test_failed_determinant_route_exits_1(capsys, monkeypatch):
     def singular(n):
-        raise SingularInputError("every sample grid was singular")
+        raise SingularInputError("specialized T is not polynomial of expected degree")
 
     monkeypatch.setattr(pn, "pn_via_T", singular)
     code, out, err = run_cli(capsys, "pn", "--n", "1")
     assert code == 1
     assert out == ""
-    assert err.count("\n") == 1 and "singular" in err
+    assert err.count("\n") == 1 and "not polynomial" in err
 
 
 def test_failed_consistency_in_bench_exits_1(capsys, monkeypatch):

@@ -7,11 +7,16 @@ from ice_colors import lattice, verify
 from ice_colors.lattice import (CountTable, IceRuleError,
                                 InconsistentHeightsError, LatticeState,
                                 LeftArrowError, count_table, enumerate_states,
-                                heights, left_arrow_row, render_state, stats,
+                                heights, left_arrow_row, render_state,
                                 vertex_census, vertex_kinds)
 from ice_colors.verify import state_violations
 
 from oracles import all_assignment_states, transfer_counts_by_m
+
+
+def state_key(s):
+    """Per-state reference for a count-table key: (m, l, k0, k1, k2)."""
+    return (sum(s.turn_positive), left_arrow_row(s), *heights(s).color_counts())
 
 
 def test_n0_single_empty_state():
@@ -21,9 +26,7 @@ def test_n0_single_empty_state():
 
 
 def test_n1_two_states_with_expected_stats():
-    recorded = sorted(
-        (s.m, s.l, s.k0, s.k1, s.k2) for s in map(stats, enumerate_states(1))
-    )
+    recorded = sorted(map(state_key, enumerate_states(1)))
     assert recorded == [(0, 2, 3, 2, 1), (1, 1, 3, 1, 2)]
 
 
@@ -114,9 +117,7 @@ REFERENCE_COLORS = (
 def test_reference_state_color_grid():
     assert REFERENCE_STATE in set(enumerate_states(3))
     assert heights(REFERENCE_STATE).colors() == REFERENCE_COLORS
-    s = stats(REFERENCE_STATE)
-    assert (s.m, s.l) == (1, 4)
-    assert (s.k0, s.k1, s.k2) == (12, 9, 7)
+    assert state_key(REFERENCE_STATE) == (1, 4, 12, 9, 7)
 
 
 def test_census_identities_all_states():
@@ -245,14 +246,13 @@ def test_count_table_n0():
 
 
 def per_state_table(n):
-    """The count table rebuilt from every enumerated state's own stats."""
+    """The count table rebuilt from every enumerated state's own key."""
     tally = Counter()
     for s in enumerate_states(n):
-        if n == 0:  # stats are undefined on the empty lattice
+        if n == 0:  # m and l are undefined on the empty lattice
             tally[(None, None, *heights(s).color_counts())] += 1
         else:
-            st = stats(s)
-            tally[(st.m, st.l, st.k0, st.k1, st.k2)] += 1
+            tally[state_key(s)] += 1
     return CountTable(n, dict(tally))
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
@@ -9,12 +10,27 @@ from ice_colors.pn import (ConsistencyError, VARIANT_A, VARIANT_B, VARIANT_C,
                            positivity_report, symmetry_check)
 from ice_colors.tpoly import pn_via_T
 
-# Frozen after exact agreement of the count route and the determinant route.
-P1 = Poly([1, 1, 2])
-P2 = Poly([1, 2, 7, 10, 21, 12, 11])
-P3 = Poly([1, 3, 15, 35, 105, 195, 435, 555, 840, 710, 738, 294, 170])
-P4 = Poly([1, 4, 26, 82, 319, 840, 2488, 5572, 13524, 24920, 48776, 72800,
+# p_n, frozen after exact agreement of the count route and the determinant
+# route (p_7 from one `ice-colors pn --n 7` run, which exits 0 only then).
+P1 = Poly([1])
+P2 = Poly([1, 1, 2])
+P3 = Poly([1, 2, 7, 10, 21, 12, 11])
+P4 = Poly([1, 3, 15, 35, 105, 195, 435, 555, 840, 710, 738, 294, 170])
+P5 = Poly([1, 4, 26, 82, 319, 840, 2488, 5572, 13524, 24920, 48776, 72800,
            114716, 135464, 169536, 148972, 141835, 85044, 58406, 17822, 7429])
+P6 = Poly([1, 5, 40, 158, 755, 2509, 9164, 26512, 80813, 206893, 546372,
+           1234878, 2839459, 5628357, 11256516, 19455888, 33772659, 50465847,
+           75566208, 96192378, 122785281, 130593423, 139903044, 120651744,
+           105885951, 70248279, 48560820, 22541610, 11520585, 2845215, 920460])
+P7 = Poly([1, 6, 57, 270, 1530, 6102, 26442, 92178, 334584, 1043382, 3316104,
+           9379026, 26715366, 68906538, 177556374, 417718998, 976072842,
+           2090991726, 4430827050, 8623866510, 16553963430, 29181082590,
+           50619817350, 80445515850, 125601887340, 178863991830, 249992825580,
+           316526736726, 393211322586, 438059545038, 479082119562,
+           462927931650, 440019878661, 361454749812, 293425317261,
+           198774061884, 134362758240, 71365686228, 38636790480, 14621569740,
+           5937661260, 1230641100, 323801820])
+FROZEN = (P1, P2, P3, P4, P5, P6, P7)
 
 
 @pytest.fixture(scope="module")
@@ -61,14 +77,14 @@ def test_variant_m_independence(tables):
 
 
 def test_pn_consistent_small(tables):
-    assert pn_consistent(1, tables[1]) == Poly([1])
-    assert pn_consistent(2, tables[2]) == P1
-    assert pn_consistent(3, tables[3]) == P2
+    assert pn_consistent(1, tables[1]) == P1
+    assert pn_consistent(2, tables[2]) == P2
+    assert pn_consistent(3, tables[3]) == P3
 
 
 def test_pn_consistent_frozen_n5():
     poly = pn_consistent(5)
-    assert poly == P4
+    assert poly == P5
     assert symmetry_check(poly, 5)
     assert positivity_report(poly) == []
 
@@ -79,7 +95,36 @@ def test_route_equivalence(tables):
 
 
 def test_determinant_route_frozen_n4():
-    assert pn_via_T(4) == P3
+    assert pn_via_T(4) == P4
+
+
+def test_determinant_route_frozen_n6_n7():
+    assert pn_via_T(6) == P6
+    assert pn_via_T(7) == P7
+
+
+def test_pn_consistent_frozen_n6():
+    assert pn_consistent(6) == P6
+
+
+def test_conjectured_patterns_on_frozen_polynomials():
+    """Conjectures, not proven identities: patterns that hold for every p_n
+    computed so far (the frozen p_1..p_7), kept as regressions.
+
+    * the leading coefficient is prod_{i<n} (3i+1)(6i)!(2i)!/((4i)!(4i+1)!);
+    * p_n(-1) = 2^((n-1)^2);
+    * [z^1] p_n = n - 1 and [z^2] p_n = (3n^2 - 5n + 2)/2;
+    * no coefficient is negative.
+    """
+    for n, poly in enumerate(FROZEN, 1):
+        coeffs = poly.coeffs + (Fraction(0),) * 2
+        assert poly.coeffs[-1] == prod(
+            Fraction((3 * i + 1) * factorial(6 * i) * factorial(2 * i),
+                     factorial(4 * i) * factorial(4 * i + 1)) for i in range(n))
+        assert poly(Fraction(-1)) == 2 ** ((n - 1) ** 2)
+        assert coeffs[1] == n - 1
+        assert coeffs[2] == Fraction(3 * n * n - 5 * n + 2, 2)
+        assert min(poly.coeffs) >= 0
 
 
 def test_mismatched_table_rejected(tables):
@@ -108,21 +153,21 @@ def test_non_polynomial_sum_rejected():
 def test_symmetry_check_examples():
     assert symmetry_check(Poly([1]), 1)
     assert not symmetry_check(Poly([0, 1]), 2)
-    assert symmetry_check(P1, 2)
-    assert symmetry_check(P2, 3)
+    assert symmetry_check(P2, 2)
+    assert symmetry_check(P3, 3)
 
 
 def test_symmetry_fixed_point_value():
     # The identity forces p(1) = 2^degree.
-    for n, poly in ((2, P1), (3, P2)):
+    for n, poly in ((2, P2), (3, P3)):
         assert poly(Fraction(1)) == 2 ** (n * (n - 1))
 
 
 def test_positivity_report_examples():
     assert positivity_report(Poly([1])) == []
     assert positivity_report(Poly([1, -1])) == [(1, Fraction(-1))]
-    assert positivity_report(P1) == []
     assert positivity_report(P2) == []
+    assert positivity_report(P3) == []
 
 
 def test_integer_coefficients(tables):

@@ -3,6 +3,7 @@ import importlib
 
 import pytest
 
+from ice_colors.lattice import heights
 from ice_colors.theta import (ModelParams, NearSingularError, OMEGA,
                               ParamSampler, det_complex, partition_brute,
                               partition_filali, resample, theta, turn_weight,
@@ -176,6 +177,24 @@ def test_bracket_evaluated_once_per_argument(monkeypatch):
     monkeypatch.setattr(module, "theta", counting)
     partition_brute(3, sampler().params(3))
     assert 0 < calls < 200
+
+
+def test_brute_sum_builds_state_data_once_per_n(monkeypatch):
+    # Heights and vertex kinds depend on the state only, so two n = 3 draws
+    # need at most one pass over the 208 states, not one per draw.
+    module = importlib.import_module("ice_colors.theta")
+    calls = 0
+
+    def counting(state):
+        nonlocal calls
+        calls += 1
+        return heights(state)
+
+    monkeypatch.setattr(module, "heights", counting)
+    s = sampler()
+    partition_brute(3, s.params(3))
+    partition_brute(3, s.params(3))
+    assert calls <= 208
 
 
 def test_model_params_validation():

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ice_colors.exact import SingularInputError
-from ice_colors.tpoly import (CoalescedSpec, PsiPoint, g_eval, pn_via_T,
-                              t_eval_coalesced, t_eval_distinct)
+from ice_colors.tpoly import PsiPoint, g_eval, pn_via_T, t_at_specialization
+
+from oracles import t_distinct, t_perturbation_limit
 
 fractions = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 
@@ -28,8 +28,8 @@ def test_g_vanishing_point():
 
 
 def test_t_n1_is_one():
-    assert t_eval_distinct([Fraction(3), Fraction(5, 2)], Fraction(2)) == 1
-    assert t_eval_distinct([Fraction(-1), Fraction(7)], Fraction(-3)) == 1
+    assert t_distinct([Fraction(3), Fraction(5, 2)], Fraction(2)) == 1
+    assert t_distinct([Fraction(-1), Fraction(7)], Fraction(-3)) == 1
 
 
 def _distinct_args(seed: int, count: int) -> list[Fraction]:
@@ -40,71 +40,43 @@ def test_t_symmetric_within_groups_and_across():
     psi = Fraction(2)
     for n in (2, 3):
         xs = _distinct_args(5, n) + _distinct_args(31, n)
-        base = t_eval_distinct(xs, psi)
+        base = t_distinct(xs, psi)
         swapped_first = list(xs)
         swapped_first[0], swapped_first[1] = swapped_first[1], swapped_first[0]
-        assert t_eval_distinct(swapped_first, psi) == base
+        assert t_distinct(swapped_first, psi) == base
         swapped_second = list(xs)
         swapped_second[n], swapped_second[n + 1] = swapped_second[n + 1], swapped_second[n]
-        assert t_eval_distinct(swapped_second, psi) == base
+        assert t_distinct(swapped_second, psi) == base
         groups_swapped = xs[n:] + xs[:n]
-        assert t_eval_distinct(groups_swapped, psi) == base
+        assert t_distinct(groups_swapped, psi) == base
         across = list(xs)
         across[0], across[n] = across[n], across[0]
-        assert t_eval_distinct(across, psi) == base
-
-
-def test_t_singular_inputs_raise():
-    psi = Fraction(2)
-    with pytest.raises(SingularInputError):
-        t_eval_distinct([Fraction(1), Fraction(1), Fraction(2), Fraction(3)], psi)
-    with pytest.raises(SingularInputError):
-        # G(1, 1) = 0 at psi = 1
-        t_eval_distinct([Fraction(1), Fraction(2), Fraction(1), Fraction(3)],
-                        Fraction(1))
-
-
-def test_coalesced_agrees_with_distinct():
-    psi = Fraction(2)
-    spec = CoalescedSpec((Fraction(3), Fraction(7)), (Fraction(5), Fraction(11)))
-    xs = [Fraction(3), Fraction(7), Fraction(5), Fraction(11)]
-    assert t_eval_coalesced(spec, psi) == t_eval_distinct(xs, psi)
+        assert t_distinct(across, psi) == base
 
 
 def test_coalesced_n1_is_one():
-    point = PsiPoint(Fraction(2))
-    spec = CoalescedSpec((point.xi0,), (point.psi,))
-    assert t_eval_coalesced(spec, point.psi) == 1
+    for psi in (Fraction(2), Fraction(-3, 4), Fraction(5, 7)):
+        assert t_at_specialization(PsiPoint(psi), 1) == 1
 
 
-def test_coalesced_direction_independence():
-    psi = Fraction(2)
-    xi0 = 2 * psi + 1
-    one = CoalescedSpec((xi0, xi0), (xi0, psi),
-                        (Fraction(1), Fraction(2), Fraction(3), Fraction(4)))
-    other = CoalescedSpec((xi0, xi0), (xi0, psi),
-                          (Fraction(7), Fraction(-3), Fraction(11, 2), Fraction(1)))
-    assert t_eval_coalesced(one, psi) == t_eval_coalesced(other, psi)
+def test_specialization_matches_perturbation_oracle():
+    for n in (1, 2, 3, 4):
+        for z in (Fraction(2), Fraction(3), Fraction(7, 3), Fraction(-5, 2),
+                  Fraction(1, 4)):
+            point = PsiPoint.from_z(z)
+            targets = [point.xi0] * (2 * n - 1) + [point.psi]
+            assert (t_at_specialization(point, n)
+                    == t_perturbation_limit(targets, point.psi)), (n, z)
 
 
-def test_coalesced_sample_set_independence():
-    psi = Fraction(3, 2)
-    xi0 = 2 * psi + 1
-    spec = CoalescedSpec((xi0, xi0), (xi0, psi))
-    richer = CoalescedSpec((xi0, xi0), (xi0, psi), samples=spec.samples + 3)
-    assert t_eval_coalesced(spec, psi) == t_eval_coalesced(richer, psi)
-
-
-def test_coalesced_retries_past_singular_grids():
-    # first group targets 0 and 1 with directions 1 and 0 collide at every
-    # integer t = 1, which sits on all the small scaled grids
-    psi = Fraction(2)
-    spec = CoalescedSpec((Fraction(0), Fraction(1)), (Fraction(4), Fraction(9)),
-                         (Fraction(1), Fraction(0), Fraction(2), Fraction(3)),
-                         samples=5)
-    value = t_eval_coalesced(spec, psi)
-    assert value == t_eval_distinct(
-        [Fraction(0), Fraction(1), Fraction(4), Fraction(9)], psi)
+@settings(max_examples=30)
+@given(fractions)
+def test_g_closed_forms_at_coalesced_point(psi):
+    # The confluent formula divides by G(a, a) and G(a, psi), a = 2*psi+1;
+    # both vanish only at psi in {0, -1, -1/2}, which PsiPoint rejects.
+    a = 2 * psi + 1
+    assert g_eval(a, a, psi) == 2 * (psi + 1) ** 2 * (2 * psi + 1) ** 2
+    assert g_eval(a, psi, psi) == 2 * psi ** 2 * (psi + 1) ** 2
 
 
 def test_psi_point_admissibility():
@@ -117,14 +89,6 @@ def test_psi_point_admissibility():
     point = PsiPoint.from_z(Fraction(2))
     assert point.psi == Fraction(-3, 4)
     assert point.z == Fraction(2)
-
-
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        CoalescedSpec((Fraction(1),), (Fraction(1), Fraction(2)))
-    with pytest.raises(ValueError):
-        CoalescedSpec((Fraction(1),), (Fraction(2),),
-                      (Fraction(1), Fraction(1)))
 
 
 def test_pn_via_T_small():
