@@ -5,7 +5,9 @@ Each variant turns the count table into a signed sum of terms
 ``n`` mod 3, where the exponent ``e`` depends on the census of one face
 color.  A term is a polynomial unless ``e`` leaves ``[0, n(n-1)/2]``; then
 the aggregate is taken over a shared denominator, which must divide it
-exactly.  The raw sum equals a binomial coefficient times one and the same
+exactly.  Every term ``z^a (z-1)^a (z+1)^b`` is a product of two binomial
+expansions with integer coefficients, so the sum is accumulated in plain
+integers.  The raw sum equals a binomial coefficient times one and the same
 polynomial for every variant and every admissible number of positive turns.
 Dividing by the binomial and comparing across variants, and against the
 determinant route, is the strongest end-to-end check this model admits.
@@ -15,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import cache
+from math import comb, lcm
 
 from .exact import Poly, SingularInputError, format_fraction
 from .lattice import CountTable, count_table
@@ -66,26 +69,49 @@ _P = Poly([0, -1, 1])  # z(z-1)
 _Q = Poly([1, 1])      # z+1
 
 
-def _assemble(sums: dict[int, int], n: int) -> Poly:
-    """Sum of c * P^e * Q^(n(n-1)-2e) over ``{e: c}``, exact.
+def _convolve(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        if x:
+            for j, y in enumerate(v, i):
+                out[j] += x * y
+    return tuple(out)
 
-    Exponents outside [0, n(n-1)/2] put P or Q in a shared denominator.
-    The aggregate is a polynomial whenever the counts are consistent, so
-    the trailing divisions must be exact; a remainder means corrupt input.
+
+@cache
+def _term(a: int, b: int) -> tuple[int, ...]:
+    """Ascending integer coefficients of z^a (z-1)^a (z+1)^b."""
+    shifted_minus = (0,) * a + tuple(comb(a, i) * (-1) ** (a - i)
+                                     for i in range(a + 1))
+    return _convolve(shifted_minus, tuple(comb(b, j) for j in range(b + 1)))
+
+
+def _assemble(sums: dict[int, int], n: int) -> Poly:
+    """Sum of c * P^e * Q^(n(n-1)-2e) over ``{e: c}``, exact, where
+    P = z(z-1) and Q = z+1.
+
+    Each term is the integer expansion ``z^a (z-1)^a (z+1)^b``, so the sum
+    is accumulated in plain integers and made a ``Poly`` once.  Exponents
+    outside [0, n(n-1)/2] put P or Q in a shared denominator.  The
+    aggregate is a polynomial whenever the counts are consistent, so the
+    trailing divisions must be exact; a remainder means corrupt input.
     """
     if not sums:
         return Poly()
     top = n * (n - 1)
     p_den = max(0, -min(sums))
     q_den = max(0, 2 * max(sums) - top)
-    acc = Poly()
+    acc = [0] * (top + 2 * p_den + q_den + 1)
     for e, c in sums.items():
-        acc = acc + c * _P ** (e + p_den) * _Q ** (top - 2 * e + q_den)
+        if c:
+            for i, t in enumerate(_term(e + p_den, top - 2 * e + q_den)):
+                acc[i] += c * t
+    poly = Poly(acc)
     if p_den:
-        acc = acc.exact_div(_P**p_den)
+        poly = poly.exact_div(_P**p_den)
     if q_den:
-        acc = acc.exact_div(_Q**q_den)
-    return acc
+        poly = poly.exact_div(_Q**q_den)
+    return poly
 
 
 def pn_from_counts(table: CountTable, n: int, m: int,
@@ -172,17 +198,30 @@ def _divergence(label_a: str, a: Poly, label_b: str, b: Poly) -> str:
     return f"{label_a} and {label_b} disagree at " + "; ".join(diffs)
 
 
+@cache
+def _symmetry_term(k: int, power: int) -> tuple[int, ...]:
+    """Ascending integer coefficients of (1-z)^k (1+3z)^(power-k)."""
+    return _convolve(tuple(comb(k, i) * (-1) ** i for i in range(k + 1)),
+                     tuple(comb(power - k, j) * 3**j for j in range(power - k + 1)))
+
+
 def symmetry_check(p: Poly, n: int) -> bool:
-    """Exact test of p(z) = ((1+3z)/2)^(n(n-1)) * p((1-z)/(1+3z))."""
+    """Exact test of p(z) = ((1+3z)/2)^(n(n-1)) * p((1-z)/(1+3z)).
+
+    Both sides are scaled by 2^(n(n-1)) and by the common denominator of
+    p's coefficients, so the comparison runs over integers.
+    """
     power = (n - 1) * n
     if p.degree > power:
         raise ValueError("degree exceeds (n-1)n")
-    lhs = Fraction(2) ** power * p
-    one_minus = Poly([1, -1])
-    one_plus3 = Poly([1, 3])
-    rhs = Poly()
-    for k, coeff in enumerate(p.coeffs):
-        rhs = rhs + coeff * one_minus**k * one_plus3 ** (power - k)
+    scale = lcm(*(c.denominator for c in p.coeffs))
+    ints = [c.numerator * (scale // c.denominator) for c in p.coeffs]
+    lhs = [2**power * c for c in ints] + [0] * (power + 1 - len(ints))
+    rhs = [0] * (power + 1)
+    for k, c in enumerate(ints):
+        if c:
+            for i, t in enumerate(_symmetry_term(k, power)):
+                rhs[i] += c * t
     return lhs == rhs
 
 

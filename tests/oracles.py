@@ -7,7 +7,10 @@ in the package's state enumeration (``enumerate_states``) and its
 row-transfer counting (``count_table``) cannot hide.  Likewise the ratio T
 is evaluated here from its definition at distinct arguments, and its value
 at repeated arguments as a perturbation limit, apart from the package's
-confluent formula (``tpoly.t_at_specialization``).
+confluent formula (``tpoly.t_at_specialization``).  The count sums and the
+symmetry image are built here from ``Poly`` powers over ``Fraction``, apart
+from the package's integer binomial expansions (``pn._assemble`` and
+``pn.symmetry_check``).
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from fractions import Fraction
 from itertools import product
 from math import prod
 
+from ice_colors.exact import Poly
 from ice_colors.lattice import LatticeState
 from ice_colors.tpoly import g_eval
 
@@ -144,3 +148,32 @@ def t_perturbation_limit(targets, psi) -> Fraction:
         total += value * prod((Fraction(s, s - t) for s in nodes if s != t),
                               start=Fraction(1))
     return total
+
+
+def assemble_by_poly_powers(sums: dict[int, int], n: int) -> Poly:
+    """Sum of c * (z(z-1))^e * (z+1)^(n(n-1)-2e) over ``{e: c}``, by Poly
+    powers over a shared denominator; a remainder in the trailing exact
+    division raises ``SingularInputError``."""
+    if not sums:
+        return Poly()
+    p, q = Poly([0, -1, 1]), Poly([1, 1])
+    top = n * (n - 1)
+    p_den = max(0, -min(sums))
+    q_den = max(0, 2 * max(sums) - top)
+    acc = Poly()
+    for e, c in sums.items():
+        acc = acc + c * p ** (e + p_den) * q ** (top - 2 * e + q_den)
+    if p_den:
+        acc = acc.exact_div(p**p_den)
+    if q_den:
+        acc = acc.exact_div(q**q_den)
+    return acc
+
+
+def symmetry_image(p: Poly, n: int) -> Poly:
+    """((1+3z)/2)^(n(n-1)) * p((1-z)/(1+3z)) by Poly composition."""
+    power = n * (n - 1)
+    out = Poly()
+    for k, coeff in enumerate(p.coeffs):
+        out = out + coeff * Poly([1, -1]) ** k * Poly([1, 3]) ** (power - k)
+    return out * Fraction(1, 2**power)

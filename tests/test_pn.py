@@ -1,14 +1,18 @@
 from fractions import Fraction
 from math import factorial, prod
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ice_colors.exact import Poly
+from ice_colors.exact import Poly, SingularInputError
 from ice_colors.lattice import CountTable, count_table
 from ice_colors.pn import (ConsistencyError, VARIANT_A, VARIANT_B, VARIANT_C,
-                           VARIANTS, pn_consistent, pn_from_counts,
+                           VARIANTS, _assemble, pn_consistent, pn_from_counts,
                            positivity_report, symmetry_check)
 from ice_colors.tpoly import pn_via_T
+from oracles import assemble_by_poly_powers, symmetry_image
 
 # p_n, frozen after exact agreement of the count route and the determinant
 # route (p_7 from one `ice-colors pn --n 7` run, which exits 0 only then).
@@ -148,6 +152,67 @@ def test_non_polynomial_sum_rejected():
     table = CountTable(2, {(0, 2, 0, 1, 0): 1})
     with pytest.raises(ConsistencyError, match="does not reduce"):
         pn_from_counts(table, 2, 0, VARIANT_B)
+
+
+def test_readme_table_matches_frozen_polynomials():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows: dict[str, list[str]] = {}
+    label = None
+    for line in readme.split("```")[1].splitlines():
+        if line.startswith("n="):
+            label, *coeffs = line.split()
+            rows[label] = coeffs
+        elif line.strip():
+            rows[label] += line.split()
+    assert list(rows) == [f"n={n}" for n in range(1, len(FROZEN) + 1)]
+    for n, poly in enumerate(FROZEN, 1):
+        assert [Fraction(c) for c in rows[f"n={n}"]] == list(poly.coeffs)
+
+
+@st.composite
+def exponent_sums(draw):
+    n = draw(st.integers(1, 6))
+    counts = st.one_of(st.integers(-3, 3), st.integers(-10**12, 10**12))
+    sums = draw(st.dictionaries(st.integers(-3, n * (n - 1) // 2 + 3), counts,
+                                max_size=6))
+    return n, sums
+
+
+@settings(max_examples=300)
+@given(exponent_sums())
+def test_assemble_matches_poly_power_oracle(case):
+    # Out-of-range exponents with zero counts give sums that divide exactly;
+    # with nonzero counts, both sides must refuse the division.
+    n, sums = case
+    try:
+        expected = assemble_by_poly_powers(sums, n)
+    except SingularInputError:
+        with pytest.raises(SingularInputError):
+            _assemble(sums, n)
+    else:
+        assert _assemble(sums, n) == expected
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=12),
+             max_size=n * (n - 1) + 1).map(Poly))))
+def test_symmetry_check_matches_composition_oracle(case):
+    # p + image(p) is symmetric, since the image map is an involution.
+    n, p = case
+    assert symmetry_check(p, n) == (p == symmetry_image(p, n))
+    assert symmetry_check(p + symmetry_image(p, n), n)
+
+
+def test_symmetry_check_rejects_perturbed_p5():
+    for i in range(len(P5.coeffs)):
+        coeffs = list(P5.coeffs)
+        coeffs[i] += 1
+        bad = Poly(coeffs)
+        assert bad != symmetry_image(bad, 5)
+        assert not symmetry_check(bad, 5)
+    assert symmetry_check(P5 * Fraction(3, 7), 5)
 
 
 def test_symmetry_check_examples():
