@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from . import __version__
 from .exact import SingularInputError, format_fraction
@@ -25,19 +24,6 @@ from .verify import (filali_suite, identity_suite, lattice_suite,
                      specialization_suite)
 
 SUITES = ("lattice", "theta", "filali", "specialization", "all")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    n: int = 1
-    fmt: str = "json"
-    output: str | None = None
-    seed: int = 0
-    trials: int = 20
-    time_budget: float | None = None
-    suite: str = "all"
-    dump: bool = False
 
 
 class TimeBudget:
@@ -57,7 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_n=True):
+    def common(p, handler, with_n=True):
+        p.set_defaults(handler=handler)
         if with_n:
             p.add_argument("--n", type=int, required=True, help="lattice half-size")
         p.add_argument("--output", help="write the report here instead of stdout")
@@ -65,19 +52,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="abort with exit 2 after this many seconds")
 
     p = sub.add_parser("enumerate", help="count states, optionally dump them")
-    common(p)
+    common(p, _cmd_enumerate)
     p.add_argument("--dump", action="store_true",
                    help="print an ASCII arrows+heights grid per state")
 
     p = sub.add_parser("counts", help="aggregate the (m, l, k0, k1, k2) table")
-    common(p)
+    common(p, _cmd_counts)
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("pn", help="compute the polynomial with all cross-checks")
-    common(p)
+    common(p, _cmd_pn)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    common(p, with_n=False)
+    common(p, _cmd_verify, with_n=False)
     p.add_argument("--suite", choices=SUITES, default="all")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
@@ -85,23 +72,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest half-size for the lattice suite")
 
     p = sub.add_parser("bench", help="time the main computations")
-    common(p)
+    common(p, _cmd_bench)
     return parser
 
 
-def parse_config(argv) -> RunConfig:
-    args = build_parser().parse_args(argv)
-    cfg = RunConfig(command=args.command)
-    for name in ("n", "fmt", "output", "seed", "trials", "time_budget",
-                 "suite", "dump"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    return cfg
-
-
-def _emit(text: str, cfg: RunConfig) -> None:
-    if cfg.output:
-        with open(cfg.output, "w") as handle:
+def _emit(text: str, args: argparse.Namespace) -> None:
+    if args.output:
+        with open(args.output, "w") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -109,107 +86,100 @@ def _emit(text: str, cfg: RunConfig) -> None:
             sys.stdout.write("\n")
 
 
-def _cmd_enumerate(cfg: RunConfig, budget: TimeBudget) -> int:
-    if cfg.n < 0:
+def _cmd_enumerate(args: argparse.Namespace, budget: TimeBudget) -> int:
+    if args.n < 0:
         print("n must be >= 0", file=sys.stderr)
         return 2
     total = 0
     dumps = []
-    for state in enumerate_states(cfg.n):
+    for state in enumerate_states(args.n):
         total += 1
-        if cfg.dump:
+        if args.dump:
             dumps.append(render_state(state, heights(state)))
         if total % 1024 == 0:
             budget.check()
-    if cfg.dump:
-        _emit("\n".join(dumps) + f"\nstates: {total}", cfg)
+    if args.dump:
+        _emit("\n".join(dumps) + f"\nstates: {total}", args)
     else:
-        _emit(json.dumps({"n": cfg.n, "states": total}), cfg)
+        _emit(json.dumps({"n": args.n, "states": total}), args)
     return 0
 
 
-def _cmd_counts(cfg: RunConfig, budget: TimeBudget) -> int:
-    if cfg.n < 0:
+def _cmd_counts(args: argparse.Namespace, budget: TimeBudget) -> int:
+    if args.n < 0:
         print("n must be >= 0", file=sys.stderr)
         return 2
-    table = count_table(cfg.n)
+    table = count_table(args.n)
     budget.check()
-    _emit(table.to_csv() if cfg.fmt == "csv" else table.to_json(), cfg)
+    _emit(table.to_csv() if args.fmt == "csv" else table.to_json(), args)
     return 0
 
 
-def _cmd_pn(cfg: RunConfig, budget: TimeBudget) -> int:
-    if cfg.n < 1:
+def _cmd_pn(args: argparse.Namespace, budget: TimeBudget) -> int:
+    if args.n < 1:
         print("pn needs n >= 1", file=sys.stderr)
         return 2
-    table = count_table(cfg.n)
+    table = count_table(args.n)
     budget.check()
-    poly = pn_consistent(cfg.n, table)
+    poly = pn_consistent(args.n, table)
     budget.check()
     variants_checked = [
-        f"{v.tag}:m={m}" for v in VARIANTS for m in range(cfg.n + 1)
-        if v.binomial(cfg.n, m) != 0
+        f"{v.tag}:m={m}" for v in VARIANTS for m in range(args.n + 1)
+        if v.binomial(args.n, m) != 0
     ]
     negative = positivity_report(poly)
     report = {
-        "n": cfg.n,
+        "n": args.n,
         "degree": max(poly.degree, 0),
         "coeffs": [format_fraction(c) for c in poly.coeffs],
         "variants_checked": variants_checked,
-        "symmetry_ok": symmetry_check(poly, cfg.n),
+        "symmetry_ok": symmetry_check(poly, args.n),
         "negative_coeffs": [[i, format_fraction(c)] for i, c in negative],
     }
-    _emit(json.dumps(report), cfg)
+    _emit(json.dumps(report), args)
     return 0 if report["symmetry_ok"] and not negative else 1
 
 
-def _cmd_verify(cfg: RunConfig, budget: TimeBudget) -> int:
-    sampler = ParamSampler(cfg.seed)
+def _cmd_verify(args: argparse.Namespace, budget: TimeBudget) -> int:
+    if args.trials < 1:
+        print("trials must be >= 1", file=sys.stderr)
+        return 2
+    sampler = ParamSampler(args.seed)
     reports = []
-    if cfg.suite in ("lattice", "all"):
-        reports += lattice_suite(max_n=cfg.n)
+    if args.suite in ("lattice", "all"):
+        reports += lattice_suite(max_n=args.n)
         budget.check()
-    if cfg.suite in ("theta", "all"):
-        reports += identity_suite(sampler, trials=max(cfg.trials, 100))
+    if args.suite in ("theta", "all"):
+        reports += identity_suite(sampler, trials=max(args.trials, 100))
         budget.check()
-    if cfg.suite in ("filali", "all"):
-        reports += filali_suite(sampler, trials=cfg.trials)
+    if args.suite in ("filali", "all"):
+        reports += filali_suite(sampler, trials=args.trials)
         budget.check()
-    if cfg.suite in ("specialization", "all"):
-        reports += specialization_suite(sampler, trials=max(1, cfg.trials // 4))
+    if args.suite in ("specialization", "all"):
+        reports += specialization_suite(sampler, trials=max(1, args.trials // 4))
         budget.check()
-    _emit(json.dumps([r.to_record() for r in reports]), cfg)
+    _emit(json.dumps([r.to_record() for r in reports]), args)
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _cmd_bench(cfg: RunConfig, budget: TimeBudget) -> int:
+def _cmd_bench(args: argparse.Namespace, budget: TimeBudget) -> int:
     timings = {}
     start = time.perf_counter()
-    table = count_table(cfg.n)
+    table = count_table(args.n)
     timings["count_table_s"] = time.perf_counter() - start
     budget.check()
     start = time.perf_counter()
-    pn_consistent(cfg.n, table)
+    pn_consistent(args.n, table)
     timings["pn_consistent_s"] = time.perf_counter() - start
     timings["states"] = table.total()
-    _emit(json.dumps({"n": cfg.n, **timings}), cfg)
+    _emit(json.dumps({"n": args.n, **timings}), args)
     return 0
 
 
-def run(cfg: RunConfig) -> int:
-    if cfg.trials < 1:
-        print("trials must be >= 1", file=sys.stderr)
-        return 2
-    budget = TimeBudget(cfg.time_budget)
-    handler = {
-        "enumerate": _cmd_enumerate,
-        "counts": _cmd_counts,
-        "pn": _cmd_pn,
-        "verify": _cmd_verify,
-        "bench": _cmd_bench,
-    }[cfg.command]
+def run(args: argparse.Namespace) -> int:
+    budget = TimeBudget(args.time_budget)
     try:
-        return handler(cfg, budget)
+        return args.handler(args, budget)
     except TimeoutError:
         print("time budget exhausted", file=sys.stderr)
         return 2
@@ -222,7 +192,7 @@ def run(cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> None:
-    sys.exit(run(parse_config(argv if argv is not None else sys.argv[1:])))
+    sys.exit(run(build_parser().parse_args(argv)))
 
 
 if __name__ == "__main__":

@@ -139,10 +139,6 @@ class Poly:
         return acc
 
 
-X = Poly([0, 1])
-ONE = Poly([1])
-
-
 def format_fraction(q: Fraction) -> str:
     q = _frac(q)
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)

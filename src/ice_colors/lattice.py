@@ -36,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Optional
 
 
 class LatticeError(Exception):
@@ -56,7 +56,6 @@ class LeftArrowError(LatticeError):
 
 
 VERTEX_KINDS = ("a+", "a-", "b+", "b-", "c+", "c-")
-TURN_KINDS = ("k+", "k-")
 
 # Vertex classification by the arrow pattern (W_right, E_right, S_up, N_up).
 # Upper rows are read in the standard orientation; lower rows are read a
@@ -89,30 +88,8 @@ class LatticeState:
     turn_positive: tuple[bool, ...]
 
 
-@dataclass(frozen=True)
-class HeightGrid:
-    """Face heights, rows bottom-up, with the upper-left face at 0."""
-
-    n: int
-    heights: tuple[tuple[int, ...], ...]
-
-    def colors(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(h % 3 for h in row) for row in self.heights)
-
-    def color_counts(self) -> tuple[int, int, int]:
-        tally = Counter(h % 3 for row in self.heights for h in row)
-        return (tally[0], tally[1], tally[2])
-
-
-@dataclass(frozen=True)
-class VertexCensus:
-    """Counts per vertex/turn kind, plus the rightmost-column breakdown."""
-
-    counts: Mapping[str, int]
-    rightmost: Mapping[str, int]
-
-
 CountKey = tuple[Optional[int], Optional[int], int, int, int]
+FaceGrid = tuple[tuple[int, ...], ...]  # face rows bottom-up, columns from the wall
 
 
 def classify_vertex(upper: bool, w_right: bool, e_right: bool,
@@ -200,7 +177,7 @@ def enumerate_states(n: int) -> Iterator[LatticeState]:
         yield from _states_for_turns(n, turns)
 
 
-def heights(state: LatticeState) -> HeightGrid:
+def heights(state: LatticeState) -> FaceGrid:
     """Face heights by a direct scan, then a check of every constraint.
 
     Each arrow fixes the difference across it (the face on its right is one
@@ -215,7 +192,7 @@ def heights(state: LatticeState) -> HeightGrid:
     """
     n = state.n
     if n == 0:
-        return HeightGrid(0, ((0,),))
+        return ((0,),)
     rows = 2 * n
 
     def mismatch(face, found, want):
@@ -245,22 +222,23 @@ def heights(state: LatticeState) -> HeightGrid:
             want = side + (-1 if pos else 1)
             if inner != want:
                 raise mismatch((2 * i + 1, 0), inner, want)
-    return HeightGrid(n, tuple(map(tuple, grid)))
+    return tuple(map(tuple, grid))
 
 
-def vertex_census(state: LatticeState) -> VertexCensus:
+def color_counts(grid: FaceGrid) -> tuple[int, int, int]:
+    """Faces of each color (height mod 3) in a height grid."""
+    tally = Counter(h % 3 for row in grid for h in row)
+    return (tally[0], tally[1], tally[2])
+
+
+def vertex_census(state: LatticeState) -> tuple[Counter, Counter]:
+    """Counts per vertex and turn kind, and per vertex kind in the
+    rightmost column."""
     kinds = vertex_kinds(state)
-    counts = {k: 0 for k in VERTEX_KINDS + TURN_KINDS}
-    rightmost = {k: 0 for k in VERTEX_KINDS}
-    for row in kinds:
-        for kind in row:
-            counts[kind] += 1
-    n = state.n
-    for r in range(2 * n):
-        rightmost[kinds[r][n - 1]] += 1
-    for pos in state.turn_positive:
-        counts["k+" if pos else "k-"] += 1
-    return VertexCensus(counts, rightmost)
+    counts = Counter(kind for row in kinds for kind in row)
+    counts.update("k+" if pos else "k-" for pos in state.turn_positive)
+    rightmost = Counter(row[state.n - 1] for row in kinds)
+    return counts, rightmost
 
 
 def left_arrow_row(state: LatticeState) -> int:
@@ -403,7 +381,7 @@ def count_table(n: int) -> CountTable:
     return CountTable(n, dict(total))
 
 
-def render_state(state: LatticeState, grid: HeightGrid | None = None) -> str:
+def render_state(state: LatticeState, grid: FaceGrid | None = None) -> str:
     """ASCII dump: arrows interleaved with the face height grid."""
     n = state.n
     if n == 0:
@@ -414,7 +392,7 @@ def render_state(state: LatticeState, grid: HeightGrid | None = None) -> str:
     for fr in range(2 * n, -1, -1):
         cells = []
         for fc in range(n + 1):
-            cells.append(f"{grid.heights[fr][fc]:>3}")
+            cells.append(f"{grid[fr][fc]:>3}")
             if fc < n:
                 cells.append("^" if state.up[fc][fr] else "v")
         lines.append("   " + " ".join(cells))

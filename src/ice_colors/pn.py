@@ -3,14 +3,14 @@
 Each variant turns the count table into a signed sum of terms
 ``count * (z+1)^(n(n-1)) * (z(z-1)/(z+1)^2)^e`` over rows ``l`` congruent to
 ``n`` mod 3, where the exponent ``e`` depends on the census of one face
-color.  A term is a polynomial unless ``e`` leaves ``[0, n(n-1)/2]``; then
-the aggregate is taken over a shared denominator, which must divide it
-exactly.  Every term ``z^a (z-1)^a (z+1)^b`` is a product of two binomial
-expansions with integer coefficients, so the sum is accumulated in plain
-integers.  The raw sum equals a binomial coefficient times one and the same
-polynomial for every variant and every admissible number of positive turns.
-Dividing by the binomial and comparing across variants, and against the
-determinant route, is the strongest end-to-end check this model admits.
+color.  Every term ``z^e (z-1)^e (z+1)^(n(n-1)-2e)`` is a product of two
+binomial expansions with integer coefficients, so the sum is accumulated in
+plain integers.  A nonzero count at an exponent outside ``[0, n(n-1)/2]``
+makes the sum a non-polynomial, which marks corrupt input.  The raw sum
+equals a binomial coefficient times one and the same polynomial for every
+variant and every admissible number of positive turns.  Dividing by the
+binomial and comparing across variants, and against the determinant route,
+is the strongest end-to-end check this model admits.
 """
 
 from __future__ import annotations
@@ -65,10 +65,6 @@ VARIANT_B = CountFormula("B", 1)
 VARIANT_C = CountFormula("C", 2)
 VARIANTS = (VARIANT_A, VARIANT_B, VARIANT_C)
 
-_P = Poly([0, -1, 1])  # z(z-1)
-_Q = Poly([1, 1])      # z+1
-
-
 def _convolve(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
     out = [0] * (len(u) + len(v) - 1)
     for i, x in enumerate(u):
@@ -90,28 +86,23 @@ def _assemble(sums: dict[int, int], n: int) -> Poly:
     """Sum of c * P^e * Q^(n(n-1)-2e) over ``{e: c}``, exact, where
     P = z(z-1) and Q = z+1.
 
-    Each term is the integer expansion ``z^a (z-1)^a (z+1)^b``, so the sum
-    is accumulated in plain integers and made a ``Poly`` once.  Exponents
-    outside [0, n(n-1)/2] put P or Q in a shared denominator.  The
-    aggregate is a polynomial whenever the counts are consistent, so the
-    trailing divisions must be exact; a remainder means corrupt input.
+    Each term is the integer expansion ``z^e (z-1)^e (z+1)^(n(n-1)-2e)``,
+    so the sum is accumulated in plain integers and made a ``Poly`` once.
+    A nonzero count below exponent 0 (above n(n-1)/2) is rejected as
+    non-polynomial: P and Q are coprime, so the lowest (highest) such term
+    leaves P (Q) in the denominator of the whole sum.
     """
-    if not sums:
-        return Poly()
     top = n * (n - 1)
-    p_den = max(0, -min(sums))
-    q_den = max(0, 2 * max(sums) - top)
-    acc = [0] * (top + 2 * p_den + q_den + 1)
+    acc = [0] * (top + 1)
     for e, c in sums.items():
-        if c:
-            for i, t in enumerate(_term(e + p_den, top - 2 * e + q_den)):
-                acc[i] += c * t
-    poly = Poly(acc)
-    if p_den:
-        poly = poly.exact_div(_P**p_den)
-    if q_den:
-        poly = poly.exact_div(_Q**q_den)
-    return poly
+        if not c:
+            continue
+        if not 0 <= 2 * e <= top:
+            raise SingularInputError(
+                f"exponent {e} outside [0, {top}/2] has a nonzero count")
+        for i, t in enumerate(_term(e, top - 2 * e)):
+            acc[i] += c * t
+    return Poly(acc)
 
 
 def pn_from_counts(table: CountTable, n: int, m: int,

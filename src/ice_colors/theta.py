@@ -30,7 +30,7 @@ class NearSingularError(ArithmeticError):
     """A weight denominator came too close to zero; resample parameters."""
 
 
-def theta(x: complex, p: complex, terms: int | None = None) -> complex:
+def theta(x: complex, p: complex) -> complex:
     """Infinite product theta(x, p) = prod (1 - p^j x)(1 - p^(j+1)/x).
 
     Truncated once |p|^j * max(|x|, 1/|x|) drops below 1e-17, giving at
@@ -41,13 +41,12 @@ def theta(x: complex, p: complex, terms: int | None = None) -> complex:
     ap = abs(p)
     if ap >= 1:
         raise ValueError("the nome must satisfy |p| < 1")
-    if terms is None:
-        bound = max(abs(x), 1 / abs(x), 1.0)
-        terms = 1
-        scale = ap * bound
-        while scale >= _TAIL and terms < _MAX_TERMS:
-            scale *= ap
-            terms += 1
+    bound = max(abs(x), 1 / abs(x), 1.0)
+    terms = 1
+    scale = ap * bound
+    while scale >= _TAIL and terms < _MAX_TERMS:
+        scale *= ap
+        terms += 1
     result = 1 + 0j
     pj = 1 + 0j
     inv_x = 1 / x
@@ -134,7 +133,7 @@ def turn_weight(kind: str, lam: complex, z: int, params: ModelParams) -> complex
 def _brute_skeleton(n: int) -> tuple:
     """(face heights, vertex kinds, turn signs) of every state, in
     enumeration order; no parameter draw changes them."""
-    return tuple((heights(s).heights, vertex_kinds(s), s.turn_positive)
+    return tuple((heights(s), vertex_kinds(s), s.turn_positive)
                  for s in enumerate_states(n))
 
 
@@ -279,11 +278,3 @@ def x_numeric(z: complex, p: complex) -> complex:
     e = cmath.exp(TWO_PI_I * z)
     return (theta(-sp * OMEGA, p) ** 2 * theta_pm(OMEGA, e, p)
             / (theta(-OMEGA, p) ** 2 * theta_pm(sp * OMEGA, e, p)))
-
-
-__all__ = [
-    "ModelParams", "NearSingularError", "OMEGA", "ParamSampler", "TWO_PI_I",
-    "det_complex", "partition_brute", "partition_filali", "psi_numeric",
-    "resample", "state_weight", "theta", "theta_pm", "turn_weight",
-    "vertex_weight", "x_numeric",
-]

@@ -50,10 +50,6 @@ class PsiPoint:
     def xi0(self) -> Fraction:
         return 2 * self.psi + 1
 
-    @property
-    def z(self) -> Fraction:
-        return Fraction(-1) / self.xi0
-
     @staticmethod
     def from_z(z: Fraction) -> "PsiPoint":
         z = Fraction(z)

@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 from math import comb
 
 from .exact import Poly
-from .lattice import (CountTable, VERTEX_KINDS, count_table, enumerate_states,
-                      heights, left_arrow_row, vertex_census)
+from .lattice import (CountTable, VERTEX_KINDS, color_counts, count_table,
+                      enumerate_states, heights, left_arrow_row, vertex_census)
 from .pn import pn_consistent
 from .theta import (OMEGA, TWO_PI_I, ModelParams, ParamSampler,
                     partition_brute, partition_filali, psi_numeric, resample,
@@ -378,24 +378,24 @@ def state_violations(state) -> list[str]:
     bad = []
     grid = heights(state)  # raises on path dependence
     l = left_arrow_row(state)
-    census = vertex_census(state)
-    if census.counts["b+"] != census.counts["b-"] + comb(n + 1, 2):
+    counts, rightmost = vertex_census(state)
+    if counts["b+"] != counts["b-"] + comb(n + 1, 2):
         bad.append("b+ / b- census identity")
-    if census.counts["c+"] + 2 * census.counts["k-"] != census.counts["c-"] + n:
+    if counts["c+"] + 2 * counts["k-"] != counts["c-"] + n:
         bad.append("c+ / c- / k- census identity")
-    if census.rightmost["b+"] != n or census.rightmost["b-"] != 0:
+    if rightmost["b+"] != n or rightmost["b-"] != 0:
         bad.append("rightmost-column b census")
-    if census.rightmost["c+"] != (1 if l % 2 == 1 else 0):
+    if rightmost["c+"] != (1 if l % 2 == 1 else 0):
         bad.append("rightmost-column c+ count")
-    if census.rightmost["c-"] != (1 if l % 2 == 0 else 0):
+    if rightmost["c-"] != (1 if l % 2 == 0 else 0):
         bad.append("rightmost-column c- count")
-    if sum(grid.color_counts()) != (2 * n + 1) * (n + 1):
+    if sum(color_counts(grid)) != (2 * n + 1) * (n + 1):
         bad.append("face count")
-    if sum(census.counts[k] for k in VERTEX_KINDS) != 2 * n * n:
+    if sum(counts[k] for k in VERTEX_KINDS) != 2 * n * n:
         bad.append("vertex count")
     for i, pos in enumerate(state.turn_positive):
         want = 2 if pos else 1
-        if grid.heights[2 * i + 1][0] % 3 != want:
+        if grid[2 * i + 1][0] % 3 != want:
             bad.append(f"turn {i} face color")
     return bad
 

@@ -3,12 +3,12 @@ import json
 import pytest
 
 from ice_colors import cli, pn
-from ice_colors.cli import build_parser, main, parse_config, run
+from ice_colors.cli import build_parser, main, run
 from ice_colors.exact import SingularInputError
 
 
 def run_cli(capsys, *argv):
-    code = run(parse_config(list(argv)))
+    code = run(build_parser().parse_args(list(argv)))
     out = capsys.readouterr()
     return code, out.out, out.err
 

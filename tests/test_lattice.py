@@ -6,9 +6,9 @@ import pytest
 from ice_colors import lattice, verify
 from ice_colors.lattice import (CountTable, IceRuleError,
                                 InconsistentHeightsError, LatticeState,
-                                LeftArrowError, count_table, enumerate_states,
-                                heights, left_arrow_row, render_state,
-                                vertex_census, vertex_kinds)
+                                LeftArrowError, color_counts, count_table,
+                                enumerate_states, heights, left_arrow_row,
+                                render_state, vertex_census, vertex_kinds)
 from ice_colors.verify import state_violations
 
 from oracles import all_assignment_states, transfer_counts_by_m
@@ -16,13 +16,13 @@ from oracles import all_assignment_states, transfer_counts_by_m
 
 def state_key(s):
     """Per-state reference for a count-table key: (m, l, k0, k1, k2)."""
-    return (sum(s.turn_positive), left_arrow_row(s), *heights(s).color_counts())
+    return (sum(s.turn_positive), left_arrow_row(s), *color_counts(heights(s)))
 
 
 def test_n0_single_empty_state():
     states = list(enumerate_states(0))
     assert len(states) == 1
-    assert heights(states[0]).heights == ((0,),)
+    assert heights(states[0]) == ((0,),)
 
 
 def test_n1_two_states_with_expected_stats():
@@ -63,7 +63,7 @@ def test_deterministic_order():
 def test_heights_upper_left_zero_and_boundary():
     for n in (1, 2, 3):
         for s in enumerate_states(n):
-            grid = heights(s).heights
+            grid = heights(s)
             assert grid[2 * n][0] == 0
             assert [grid[2 * n][fc] for fc in range(n + 1)] == list(range(n + 1))
             assert [grid[fr][n] for fr in range(2 * n, -1, -1)] == list(
@@ -75,7 +75,7 @@ def test_heights_upper_left_zero_and_boundary():
 
 def test_adjacent_faces_differ_by_one():
     for s in enumerate_states(2):
-        grid = heights(s).heights
+        grid = heights(s)
         for fr in range(5):
             for fc in range(3):
                 if fc + 1 <= 2:
@@ -116,19 +116,19 @@ REFERENCE_COLORS = (
 
 def test_reference_state_color_grid():
     assert REFERENCE_STATE in set(enumerate_states(3))
-    assert heights(REFERENCE_STATE).colors() == REFERENCE_COLORS
+    colors = tuple(tuple(h % 3 for h in row) for row in heights(REFERENCE_STATE))
+    assert colors == REFERENCE_COLORS
     assert state_key(REFERENCE_STATE) == (1, 4, 12, 9, 7)
 
 
 def test_census_identities_all_states():
     for n in (1, 2, 3):
         for s in enumerate_states(n):
-            census = vertex_census(s)
-            assert census.counts["b+"] == census.counts["b-"] + comb(n + 1, 2)
-            assert (census.counts["c+"] + 2 * census.counts["k-"]
-                    == census.counts["c-"] + n)
-            assert census.rightmost["b+"] == n
-            assert census.rightmost["b-"] == 0
+            counts, rightmost = vertex_census(s)
+            assert counts["b+"] == counts["b-"] + comb(n + 1, 2)
+            assert counts["c+"] + 2 * counts["k-"] == counts["c-"] + n
+            assert rightmost["b+"] == n
+            assert rightmost["b-"] == 0
 
 
 def test_rightmost_column_pattern():
@@ -153,7 +153,7 @@ def test_turn_face_colors():
     for s in enumerate_states(3):
         grid = heights(s)
         for i, pos in enumerate(s.turn_positive):
-            assert grid.heights[2 * i + 1][0] == (-1 if pos else 1)
+            assert grid[2 * i + 1][0] == (-1 if pos else 1)
 
 
 def test_no_state_violations_small():
@@ -250,7 +250,7 @@ def per_state_table(n):
     tally = Counter()
     for s in enumerate_states(n):
         if n == 0:  # m and l are undefined on the empty lattice
-            tally[(None, None, *heights(s).color_counts())] += 1
+            tally[(None, None, *color_counts(heights(s)))] += 1
         else:
             tally[state_key(s)] += 1
     return CountTable(n, dict(tally))

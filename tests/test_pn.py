@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial, prod
 from pathlib import Path
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ice_colors
 from ice_colors.exact import Poly, SingularInputError
 from ice_colors.lattice import CountTable, count_table
 from ice_colors.pn import (ConsistencyError, VARIANT_A, VARIANT_B, VARIANT_C,
@@ -239,3 +242,14 @@ def test_integer_coefficients(tables):
     for n in (2, 3):
         for c in pn_consistent(n, tables[n]).coeffs:
             assert c.denominator == 1
+
+
+def test_import_pn_leaves_numeric_layers_unloaded():
+    # The exact routes need neither the theta layer nor the verify suites.
+    src = str(Path(ice_colors.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import ice_colors.pn; "
+            "print(sorted(m for m in ('ice_colors.theta', 'ice_colors.verify') "
+            "if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code, src],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -88,7 +88,6 @@ def test_psi_point_admissibility():
         PsiPoint.from_z(Fraction(1))
     point = PsiPoint.from_z(Fraction(2))
     assert point.psi == Fraction(-3, 4)
-    assert point.z == Fraction(2)
 
 
 def test_pn_via_T_small():
