@@ -144,6 +144,9 @@ def _cmd_verify(args: argparse.Namespace, budget: TimeBudget) -> int:
     if args.trials < 1:
         print("trials must be >= 1", file=sys.stderr)
         return 2
+    if args.suite in ("lattice", "all") and args.n < 1:
+        print("lattice suite needs n >= 1", file=sys.stderr)
+        return 2
     sampler = ParamSampler(args.seed)
     reports = []
     if args.suite in ("lattice", "all"):

@@ -35,7 +35,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import chain, product
 from typing import Iterator, Optional
 
 
@@ -103,19 +103,28 @@ def classify_vertex(upper: bool, w_right: bool, e_right: bool,
         ) from None
 
 
+@cache
+def _column_kinds(west: tuple[bool, ...], east: tuple[bool, ...],
+                  up: tuple[bool, ...]) -> tuple[str, ...]:
+    """Kinds of one vertex column, bottom-up, from the horizontal arrows on
+    its west and east sides and its vertical edges.
+
+    Cached for the process: a column's kinds depend on its arrows only.  A
+    column that breaks the ice rule raises and so is never cached."""
+    return tuple(classify_vertex(r % 2 == 1, west[r], east[r], up[r], up[r + 1])
+                 for r in range(len(west)))
+
+
+def _kind_columns(state: LatticeState) -> list[tuple[str, ...]]:
+    """Kind of every vertex, indexed [column][row]."""
+    segments = tuple(zip(*state.right))  # horizontal arrows per segment, bottom-up
+    return [_column_kinds(segments[c], segments[c + 1], state.up[c])
+            for c in range(state.n)]
+
+
 def vertex_kinds(state: LatticeState) -> tuple[tuple[str, ...], ...]:
     """Kind of every vertex, indexed [row][column]."""
-    n = state.n
-    grid = []
-    for r in range(2 * n):
-        upper = r % 2 == 1
-        row = tuple(
-            classify_vertex(upper, state.right[r][c], state.right[r][c + 1],
-                            state.up[c][r], state.up[c][r + 1])
-            for c in range(n)
-        )
-        grid.append(row)
-    return tuple(grid)
+    return tuple(zip(*_kind_columns(state)))
 
 
 # Completions (N_up, E_right) for a vertex whose W and S edges are known,
@@ -128,53 +137,67 @@ _COMPLETIONS = {
 }
 
 
-def _states_for_turns(n: int, turns: tuple[bool, ...]) -> Iterator[LatticeState]:
-    rows = 2 * n
-    right = [[False] * (n + 1) for _ in range(rows)]
-    up = [[False] * (rows + 1) for _ in range(n)]
-    for c in range(n):
-        up[c][0] = True
-        up[c][rows] = False
-    for i, pos in enumerate(turns):
-        # Positive turn: lower branch arrow points left (into the turn),
-        # upper branch arrow points right (out of it).  Negative: reversed.
-        right[2 * i][0] = not pos
-        right[2 * i + 1][0] = pos
+def _column_fills(west: tuple[bool, ...], last: bool
+                  ) -> list[tuple[tuple[bool, ...], tuple[bool, ...]]]:
+    """Every way to fill one lattice column whose west arrows are ``west``.
 
-    def walk(c: int, r: int) -> Iterator[LatticeState]:
-        if r == rows:
-            if c + 1 == n:
-                yield LatticeState(
-                    n,
-                    tuple(tuple(row) for row in right),
-                    tuple(tuple(col) for col in up),
-                    turns,
-                )
-            else:
-                yield from walk(c + 1, 0)
-            return
-        inward = int(right[r][c]) + int(up[c][r])
-        for n_up, e_right in _COMPLETIONS[2 - inward]:
-            if r == rows - 1 and n_up:
-                continue  # top boundary edge must point down
-            if c == n - 1 and not e_right:
-                continue  # right boundary edge must point right
-            up[c][r + 1] = n_up
-            right[r][c + 1] = e_right
-            yield from walk(c, r + 1)
-
-    yield from walk(0, 0)
+    Returns ``(up, east)`` pairs: the column's vertical edges (bottom
+    boundary first) and the arrows leaving its east side, bottom-up.  The
+    top edge points down, and in the ``last`` column every east arrow points
+    right.  Pairs come in the order of a vertex-by-vertex search that tries
+    each vertex's ``_COMPLETIONS`` in turn, the lowest vertex varying
+    slowest.
+    """
+    rows = len(west)
+    fills = [((True,), ())]
+    for r in range(rows):
+        grown = []
+        for up, east in fills:
+            inward = int(west[r]) + int(up[-1])
+            for n_up, e_right in _COMPLETIONS[2 - inward]:
+                if r == rows - 1 and n_up:
+                    continue  # top boundary edge must point down
+                if last and not e_right:
+                    continue  # right boundary edge must point right
+                grown.append((up + (n_up,), east + (e_right,)))
+        fills = grown
+    return fills
 
 
 def enumerate_states(n: int) -> Iterator[LatticeState]:
-    """Yield every admissible state exactly once, in a fixed order."""
+    """Yield every admissible state exactly once, in a fixed order.
+
+    A depth-first search fills one lattice column at a time, from the wall
+    rightward; the fills of a column depend only on its west arrows and on
+    whether it is the last column, so they are listed once per call.  The
+    order is the turn signs in ``itertools.product`` order, then, column by
+    column and bottom-up within a column, each vertex's ``_COMPLETIONS`` in
+    turn, the earliest vertex varying slowest.  ``enumerate --dump`` prints
+    this order and ``theta.partition_brute`` sums in it.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         yield LatticeState(0, (), (), ())
         return
+    fills = cache(_column_fills)  # memos live for this call only
+    ups: list[tuple[bool, ...]] = [()] * n
+    easts: list[tuple[bool, ...]] = [()] * n
+
+    def search(c: int, west: tuple[bool, ...]) -> Iterator[LatticeState]:
+        last = c == n - 1
+        for up, east in fills(west, last):
+            ups[c], easts[c] = up, east
+            if last:
+                yield LatticeState(n, tuple(zip(wall, *easts)), tuple(ups), turns)
+            else:
+                yield from search(c + 1, east)
+
     for turns in product((False, True), repeat=n):
-        yield from _states_for_turns(n, turns)
+        # Positive turn: lower branch arrow points left (into the turn),
+        # upper branch arrow points right (out of it).  Negative: reversed.
+        wall = tuple(arrow for pos in turns for arrow in (not pos, pos))
+        yield from search(0, wall)
 
 
 def heights(state: LatticeState) -> FaceGrid:
@@ -234,10 +257,10 @@ def color_counts(grid: FaceGrid) -> tuple[int, int, int]:
 def vertex_census(state: LatticeState) -> tuple[Counter, Counter]:
     """Counts per vertex and turn kind, and per vertex kind in the
     rightmost column."""
-    kinds = vertex_kinds(state)
-    counts = Counter(kind for row in kinds for kind in row)
+    columns = _kind_columns(state)
+    counts = Counter(chain.from_iterable(columns))
     counts.update("k+" if pos else "k-" for pos in state.turn_positive)
-    rightmost = Counter(row[state.n - 1] for row in kinds)
+    rightmost = Counter(columns[-1]) if columns else Counter()
     return counts, rightmost
 
 

@@ -130,39 +130,66 @@ def turn_weight(kind: str, lam: complex, z: int, params: ModelParams) -> complex
 
 
 @cache
-def _brute_skeleton(n: int) -> tuple:
-    """(face heights, vertex kinds, turn signs) of every state, in
-    enumeration order; no parameter draw changes them."""
-    return tuple((heights(s), vertex_kinds(s), s.turn_positive)
-                 for s in enumerate_states(n))
+def _brute_skeleton(n: int) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
+    """The local-weight factors of the brute state sum, in enumeration order.
+
+    Returns ``(factors, states)``.  ``factors`` lists each distinct local
+    weight in order of first use: ``(row, column, kind, face height)`` for
+    a vertex, ``(turn, positive)`` for a turn.  Each entry of ``states``
+    indexes one state's factors, its vertices row by row and then its
+    turns.  No parameter draw changes either."""
+    factors: dict[tuple, int] = {}
+    states = []
+    for s in enumerate_states(n):
+        grid, kinds = heights(s), vertex_kinds(s)
+        ids = []
+        for r in range(2 * n):
+            z_row = grid[r + 1] if r % 2 == 1 else grid[r]  # upper-/lower-left face
+            for c in range(n):
+                key = (r, c, kinds[r][c], z_row[c])
+                ids.append(factors.setdefault(key, len(factors)))
+        for i, pos in enumerate(s.turn_positive):
+            ids.append(factors.setdefault((i, pos), len(factors)))
+        states.append(tuple(ids))
+    return tuple(factors), tuple(states)
 
 
-def state_weight(grid, kinds, turn_positive, params: ModelParams) -> complex:
-    """Product of the local weights of one state, given its face heights,
-    vertex kinds and turn signs."""
-    n = len(turn_positive)
+def _factor_weight(factor: tuple, params: ModelParams) -> complex:
+    """Value of one ``_brute_skeleton`` factor at a parameter draw."""
+    if len(factor) == 2:
+        i, pos = factor
+        return turn_weight("k+" if pos else "k-", params.lam[i], 0, params)
+    r, c, kind, z = factor
+    if r % 2 == 1:
+        lam_arg = params.lam[r // 2] - params.mu[c]
+    else:
+        lam_arg = params.lam[r // 2] + params.mu[c]
+    return vertex_weight(kind, lam_arg, z, params)
+
+
+def state_weight(ids: tuple[int, ...], weights: list[complex]) -> complex:
+    """Product of one state's local weights, taken in the order of its
+    factor indices."""
     weight = 1 + 0j
-    for r in range(2 * n):
-        pair = r // 2
-        upper = r % 2 == 1
-        for c in range(n):
-            if upper:
-                lam_arg = params.lam[pair] - params.mu[c]
-                z = grid[r + 1][c]  # upper-left face
-            else:
-                lam_arg = params.lam[pair] + params.mu[c]
-                z = grid[r][c]  # lower-left face
-            weight *= vertex_weight(kinds[r][c], lam_arg, z, params)
-    for i, pos in enumerate(turn_positive):
-        weight *= turn_weight("k+" if pos else "k-", params.lam[i], 0, params)
+    for i in ids:
+        weight *= weights[i]
     return weight
 
 
 def partition_brute(n: int, params: ModelParams) -> complex:
-    """State sum of local weights; exponential in n, intended for n <= 3."""
+    """State sum of local weights; exponential in n, intended for n <= 3.
+
+    Each distinct local weight is evaluated once per draw, in order of first
+    use, and every state multiplies its weights in a fixed order (vertices
+    row by row, then turns) and is added in enumeration order, so the sum
+    does not depend on the memo.  Only weights that some state uses are
+    evaluated, so ``NearSingularError`` is raised exactly when one of them
+    is near-singular."""
     if params.n != n or len(params.mu) != n:
         raise ValueError("parameter count does not match n")
-    return sum(state_weight(*skeleton, params) for skeleton in _brute_skeleton(n))
+    factors, states = _brute_skeleton(n)
+    weights = [_factor_weight(factor, params) for factor in factors]
+    return sum(state_weight(ids, weights) for ids in states)
 
 
 def det_complex(matrix: list[list[complex]]) -> complex:

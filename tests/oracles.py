@@ -4,7 +4,13 @@ Nothing here reuses the package's enumeration logic: the brute-force oracle
 filters every possible edge assignment, and the transfer oracle marches row
 configurations with its own ice-rule bookkeeping.  Both exist so that bugs
 in the package's state enumeration (``enumerate_states``) and its
-row-transfer counting (``count_table``) cannot hide.  Likewise the ratio T
+row-transfer counting (``count_table``) cannot hide.  The vertex walk
+enumerates one vertex at a time and pins the order in which
+``enumerate_states`` yields states; the per-state
+brute sum classifies every vertex of every walked state and multiplies its
+local weights afresh, apart from the package's column-at-a-time search,
+cached column kinds and per-draw weight memo (``enumerate_states``,
+``vertex_kinds`` and ``theta.partition_brute``).  Likewise the ratio T
 is evaluated here from its definition at distinct arguments, and its value
 at repeated arguments as a perturbation limit, apart from the package's
 confluent formula (``tpoly.t_at_specialization``).  The count sums and the
@@ -20,7 +26,8 @@ from itertools import product
 from math import prod
 
 from ice_colors.exact import Poly
-from ice_colors.lattice import LatticeState
+from ice_colors.lattice import LatticeState, classify_vertex, heights
+from ice_colors.theta import ModelParams, turn_weight, vertex_weight
 from ice_colors.tpoly import g_eval
 
 
@@ -59,6 +66,88 @@ def all_assignment_states(n: int) -> list[LatticeState]:
                 tuple(not right[2 * i][0] for i in range(n)),
             ))
     return states
+
+
+# Completions (N_up, E_right) of a vertex whose W and S edges are known,
+# keyed by how many of N, E must still point inward, in walk order.
+_WALK_COMPLETIONS = {
+    0: ((True, True),),
+    1: ((True, False), (False, True)),
+    2: ((False, False),),
+}
+
+
+def vertex_walk_states(n: int) -> list[LatticeState]:
+    """Every state, one vertex per step: turn signs in ``product`` order,
+    then columns from the wall, each bottom-up, trying each vertex's
+    completions in turn."""
+    if n == 0:
+        return [LatticeState(0, (), (), ())]
+    rows = 2 * n
+    states = []
+    for turns in product((False, True), repeat=n):
+        right = [[False] * (n + 1) for _ in range(rows)]
+        up = [[False] * (rows + 1) for _ in range(n)]
+        for c in range(n):
+            up[c][0] = True
+        for i, pos in enumerate(turns):
+            right[2 * i][0] = not pos
+            right[2 * i + 1][0] = pos
+
+        def walk(c: int, r: int) -> None:
+            if r == rows:
+                if c + 1 == n:
+                    states.append(LatticeState(
+                        n, tuple(map(tuple, right)), tuple(map(tuple, up)), turns))
+                else:
+                    walk(c + 1, 0)
+                return
+            inward = int(right[r][c]) + int(up[c][r])
+            for n_up, e_right in _WALK_COMPLETIONS[2 - inward]:
+                if r == rows - 1 and n_up:
+                    continue  # top boundary edge must point down
+                if c == n - 1 and not e_right:
+                    continue  # right boundary edge must point right
+                up[c][r + 1] = n_up
+                right[r][c + 1] = e_right
+                walk(c, r + 1)
+
+        walk(0, 0)
+    return states
+
+
+def classified_grid(state: LatticeState) -> tuple[tuple[str, ...], ...]:
+    """Kind of every vertex, [row][column], one ``classify_vertex`` call
+    each."""
+    n = state.n
+    return tuple(
+        tuple(classify_vertex(r % 2 == 1, state.right[r][c], state.right[r][c + 1],
+                              state.up[c][r], state.up[c][r + 1])
+              for c in range(n))
+        for r in range(2 * n))
+
+
+def brute_sum_per_state(n: int, params: ModelParams) -> complex:
+    """The state sum over the vertex walk, each state's local weights
+    evaluated afresh and multiplied row by row, then its turns."""
+    total = 0
+    for state in vertex_walk_states(n):
+        grid, kinds = heights(state), classified_grid(state)
+        weight = 1 + 0j
+        for r in range(2 * n):
+            pair = r // 2
+            for c in range(n):
+                if r % 2 == 1:
+                    lam_arg = params.lam[pair] - params.mu[c]
+                    z = grid[r + 1][c]  # upper-left face
+                else:
+                    lam_arg = params.lam[pair] + params.mu[c]
+                    z = grid[r][c]  # lower-left face
+                weight *= vertex_weight(kinds[r][c], lam_arg, z, params)
+        for i, pos in enumerate(state.turn_positive):
+            weight *= turn_weight("k+" if pos else "k-", params.lam[i], 0, params)
+        total += weight
+    return total
 
 
 def _row_outputs(v_in: tuple[bool, ...], w0: bool) -> list[tuple[bool, ...]]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -59,6 +60,15 @@ def test_enumerate_dump(capsys):
     assert code == 0
     assert "states: 2" in out
     assert ">" in out
+
+
+def test_enumerate_dump_n3_is_pinned(capsys):
+    # The dump prints every state in enumeration order, so pinning its bytes
+    # pins that order as well as every state's arrows and heights.
+    code, out, _ = run_cli(capsys, "enumerate", "--n", "3", "--dump")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "de84295cef4764ac6bb36b7aa0e958c08552343d5002a614c1fe6f1f35391cba")
 
 
 def test_verify_deterministic(capsys):
@@ -133,6 +143,24 @@ def test_trials_must_be_positive(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "theta", "--trials", "0")
     assert code == 2
     assert "trials" in err
+
+
+@pytest.mark.parametrize("suite, n", [("lattice", "0"), ("lattice", "-3"),
+                                      ("all", "0")])
+def test_lattice_suite_requires_positive_n(capsys, suite, n):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--n", n,
+                             "--trials", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "lattice suite needs n >= 1\n"
+
+
+def test_suites_without_lattice_ignore_n(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "filali", "--n", "0",
+                           "--trials", "1")
+    assert code == 0
+    assert [r["name"] for r in json.loads(out)] == [
+        "determinant_formula_n1", "determinant_formula_n2", "determinant_formula_n3"]
 
 
 def test_pn_requires_positive_n(capsys):

@@ -11,7 +11,8 @@ from ice_colors.lattice import (CountTable, IceRuleError,
                                 render_state, vertex_census, vertex_kinds)
 from ice_colors.verify import state_violations
 
-from oracles import all_assignment_states, transfer_counts_by_m
+from oracles import (all_assignment_states, classified_grid,
+                     transfer_counts_by_m, vertex_walk_states)
 
 
 def state_key(s):
@@ -58,6 +59,13 @@ def test_deterministic_order():
     first = [s for s in enumerate_states(2)]
     second = [s for s in enumerate_states(2)]
     assert first == second
+
+
+def test_enumeration_order_matches_vertex_walk():
+    # Same states in the same order: --dump prints it and the brute
+    # partition sum adds floats in it.
+    for n in range(5):
+        assert list(enumerate_states(n)) == vertex_walk_states(n)
 
 
 def test_heights_upper_left_zero_and_boundary():
@@ -210,6 +218,42 @@ def test_corrupt_edge_breaks_heights_and_classification():
                     heights(broken)
                 cases += 1
     assert cases == 2 * 8 + 12 * 24 + 208 * 48 == 10288
+
+
+def test_vertex_kinds_match_per_vertex_classification():
+    for n in range(4):
+        for s in enumerate_states(n):
+            assert vertex_kinds(s) == classified_grid(s)
+
+
+def breaks_ice_rule(state):
+    """Some vertex has other than two inward arrows, counted directly."""
+    n = state.n
+    return any(
+        int(state.right[r][c]) + int(not state.right[r][c + 1])
+        + int(state.up[c][r]) + int(not state.up[c][r + 1]) != 2
+        for r in range(2 * n) for c in range(n))
+
+
+def test_column_cache_cannot_hide_corruption():
+    # Warm the column-kind cache with every valid column first, so a
+    # corrupt state can only pass if the cache answers for a column that
+    # was never classified.
+    states = [s for n in (1, 2) for s in enumerate_states(n)]
+    for s in states:
+        vertex_census(s)
+    flips = 0
+    for s in states:
+        for broken in single_corruptions(s):
+            if broken.turn_positive != s.turn_positive:
+                continue  # a turn sign is no edge arrow
+            assert breaks_ice_rule(broken)
+            with pytest.raises(IceRuleError):
+                vertex_kinds(broken)
+            with pytest.raises(IceRuleError):
+                vertex_census(broken)
+            flips += 1
+    assert flips == 2 * 7 + 12 * 22
 
 
 def test_state_violations_computes_each_invariant_once(monkeypatch):

@@ -1,5 +1,6 @@
 import cmath
 import importlib
+from dataclasses import replace
 
 import pytest
 
@@ -9,6 +10,8 @@ from ice_colors.theta import (ModelParams, NearSingularError, OMEGA,
                               partition_filali, resample, theta, turn_weight,
                               vertex_weight)
 from ice_colors.verify import relerr
+
+from oracles import brute_sum_per_state
 
 
 def sampler():
@@ -102,6 +105,34 @@ def test_partition_brute_n1_matches_hand_sum():
                      * br(rho + zeta - lam)
                      / (br(rho) ** 2 * br(1) * br(rho + zeta + lam)))
     assert relerr(partition_brute(1, params), negative_turn + positive_turn) < 1e-12
+
+
+def brute_outcome(total, n, params):
+    try:
+        return total(n, params)
+    except NearSingularError:
+        return "near-singular"
+
+
+def test_partition_brute_bit_identical_to_per_state_oracle():
+    # The memoised sum multiplies the same factors in the same order and
+    # adds the states in the same order, so it is exactly equal, and it
+    # raises on exactly the draws where some used weight is near-singular.
+    # An integer rho puts the zero of [rho + z] on some face height, and
+    # zeta = -lambda_1 that of the k- turn's denominator.
+    s = ParamSampler(7)
+    outcomes = []
+    for n in (1, 2, 3):
+        for _ in range(30):
+            params = s.params(n)
+            draws = [params, replace(params, rho=0j), replace(params, rho=-1 + 0j),
+                     replace(params, zeta=-params.lam[0])]
+            for draw in draws:
+                want = brute_outcome(brute_sum_per_state, n, draw)
+                assert brute_outcome(partition_brute, n, draw) == want
+                outcomes.append(want)
+    raised = outcomes.count("near-singular")
+    assert raised > 0 and len(outcomes) - raised >= 90
 
 
 def test_partition_filali_n1_structure():
