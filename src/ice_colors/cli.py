@@ -3,6 +3,8 @@
 Subcommands: ``enumerate``, ``counts``, ``pn``, ``verify``, ``bench``.
 Reports go to stdout (JSON unless CSV is requested), diagnostics to stderr.
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or resource error.
+``--time-budget`` bounds the whole computation by wall clock with a one-shot
+interval timer (SIGALRM); nothing is written when it runs out.
 Exact values are printed as num/den strings, never floats.  A fixed seed
 makes every report byte-identical across runs.
 """
@@ -11,12 +13,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import signal
 import sys
 import time
 
 from . import __version__
 from .exact import SingularInputError, format_fraction
-from .lattice import count_table, enumerate_states, heights, render_state
+from .lattice import count_table, enumerate_states, render_state
 from .pn import (VARIANTS, ConsistencyError, pn_consistent, positivity_report,
                  symmetry_check)
 from .theta import ParamSampler
@@ -24,15 +28,6 @@ from .verify import (filali_suite, identity_suite, lattice_suite,
                      specialization_suite)
 
 SUITES = ("lattice", "theta", "filali", "specialization", "all")
-
-
-class TimeBudget:
-    def __init__(self, seconds: float | None):
-        self.deadline = None if seconds is None else time.monotonic() + seconds
-
-    def check(self):
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise TimeoutError("time budget exhausted")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,43 +81,27 @@ def _emit(text: str, args: argparse.Namespace) -> None:
             sys.stdout.write("\n")
 
 
-def _cmd_enumerate(args: argparse.Namespace, budget: TimeBudget) -> int:
-    if args.n < 0:
-        print("n must be >= 0", file=sys.stderr)
-        return 2
+def _cmd_enumerate(args: argparse.Namespace) -> tuple[str, int]:
     total = 0
     dumps = []
     for state in enumerate_states(args.n):
         total += 1
         if args.dump:
-            dumps.append(render_state(state, heights(state)))
-        if total % 1024 == 0:
-            budget.check()
+            dumps.append(render_state(state))
     if args.dump:
-        _emit("\n".join(dumps) + f"\nstates: {total}", args)
-    else:
-        _emit(json.dumps({"n": args.n, "states": total}), args)
-    return 0
+        return "\n".join(dumps) + f"\nstates: {total}", 0
+    return json.dumps({"n": args.n, "states": total}), 0
 
 
-def _cmd_counts(args: argparse.Namespace, budget: TimeBudget) -> int:
-    if args.n < 0:
-        print("n must be >= 0", file=sys.stderr)
-        return 2
+def _cmd_counts(args: argparse.Namespace) -> tuple[str, int]:
     table = count_table(args.n)
-    budget.check()
-    _emit(table.to_csv() if args.fmt == "csv" else table.to_json(), args)
-    return 0
+    return table.to_csv() if args.fmt == "csv" else table.to_json(), 0
 
 
-def _cmd_pn(args: argparse.Namespace, budget: TimeBudget) -> int:
+def _cmd_pn(args: argparse.Namespace) -> tuple[str, int]:
     if args.n < 1:
-        print("pn needs n >= 1", file=sys.stderr)
-        return 2
-    table = count_table(args.n)
-    budget.check()
-    poly = pn_consistent(args.n, table)
-    budget.check()
+        raise ValueError("pn needs n >= 1")
+    poly = pn_consistent(args.n, count_table(args.n))
     variants_checked = [
         f"{v.tag}:m={m}" for v in VARIANTS for m in range(args.n + 1)
         if v.binomial(args.n, m) != 0
@@ -136,53 +115,71 @@ def _cmd_pn(args: argparse.Namespace, budget: TimeBudget) -> int:
         "symmetry_ok": symmetry_check(poly, args.n),
         "negative_coeffs": [[i, format_fraction(c)] for i, c in negative],
     }
-    _emit(json.dumps(report), args)
-    return 0 if report["symmetry_ok"] and not negative else 1
+    return json.dumps(report), 0 if report["symmetry_ok"] and not negative else 1
 
 
-def _cmd_verify(args: argparse.Namespace, budget: TimeBudget) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     if args.trials < 1:
-        print("trials must be >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("trials must be >= 1")
     if args.suite in ("lattice", "all") and args.n < 1:
-        print("lattice suite needs n >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("lattice suite needs n >= 1")
     sampler = ParamSampler(args.seed)
     reports = []
     if args.suite in ("lattice", "all"):
         reports += lattice_suite(max_n=args.n)
-        budget.check()
     if args.suite in ("theta", "all"):
         reports += identity_suite(sampler, trials=max(args.trials, 100))
-        budget.check()
     if args.suite in ("filali", "all"):
         reports += filali_suite(sampler, trials=args.trials)
-        budget.check()
     if args.suite in ("specialization", "all"):
         reports += specialization_suite(sampler, trials=max(1, args.trials // 4))
-        budget.check()
-    _emit(json.dumps([r.to_record() for r in reports]), args)
-    return 0 if all(r.passed for r in reports) else 1
+    return (json.dumps([r.to_record() for r in reports]),
+            0 if all(r.passed for r in reports) else 1)
 
 
-def _cmd_bench(args: argparse.Namespace, budget: TimeBudget) -> int:
+def _cmd_bench(args: argparse.Namespace) -> tuple[str, int]:
     timings = {}
     start = time.perf_counter()
     table = count_table(args.n)
     timings["count_table_s"] = time.perf_counter() - start
-    budget.check()
     start = time.perf_counter()
     pn_consistent(args.n, table)
     timings["pn_consistent_s"] = time.perf_counter() - start
     timings["states"] = table.total()
-    _emit(json.dumps({"n": args.n, **timings}), args)
-    return 0
+    return json.dumps({"n": args.n, **timings}), 0
+
+
+def _time_out(signum, frame):
+    raise TimeoutError
+
+
+def _compute(args: argparse.Namespace) -> tuple[str, int]:
+    """Run the handler; raise TimeoutError once --time-budget seconds pass."""
+    seconds = args.time_budget
+    if seconds is None:
+        return args.handler(args)
+    if math.isnan(seconds):
+        raise ValueError("time budget must be a number")
+    if seconds <= 0:
+        raise TimeoutError
+    previous = signal.signal(signal.SIGALRM, _time_out)
+    try:
+        try:
+            signal.setitimer(signal.ITIMER_REAL, seconds)
+        except OverflowError:  # past the clock's range: it never runs out
+            pass
+        try:
+            return args.handler(args)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+    finally:
+        # Outside the disarm, so an alarm that fires during it cannot skip this.
+        signal.signal(signal.SIGALRM, previous)
 
 
 def run(args: argparse.Namespace) -> int:
-    budget = TimeBudget(args.time_budget)
     try:
-        return args.handler(args, budget)
+        text, code = _compute(args)
     except TimeoutError:
         print("time budget exhausted", file=sys.stderr)
         return 2
@@ -192,6 +189,8 @@ def run(args: argparse.Namespace) -> int:
     except ValueError as err:
         print(str(err), file=sys.stderr)
         return 2
+    _emit(text, args)
+    return code
 
 
 def main(argv=None) -> None:

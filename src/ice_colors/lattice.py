@@ -404,13 +404,12 @@ def count_table(n: int) -> CountTable:
     return CountTable(n, dict(total))
 
 
-def render_state(state: LatticeState, grid: FaceGrid | None = None) -> str:
+def render_state(state: LatticeState) -> str:
     """ASCII dump: arrows interleaved with the face height grid."""
     n = state.n
     if n == 0:
         return "  0\n"
-    if grid is None:
-        grid = heights(state)
+    grid = heights(state)
     lines = []
     for fr in range(2 * n, -1, -1):
         cells = []

@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 from math import comb
 
 from .exact import Poly
-from .lattice import (CountTable, VERTEX_KINDS, color_counts, count_table,
-                      enumerate_states, heights, left_arrow_row, vertex_census)
+from .lattice import (CountTable, VERTEX_KINDS, count_table, enumerate_states,
+                      heights, left_arrow_row, vertex_census)
 from .pn import pn_consistent
 from .theta import (OMEGA, TWO_PI_I, ModelParams, ParamSampler,
                     partition_brute, partition_filali, psi_numeric, resample,
@@ -389,7 +389,7 @@ def state_violations(state) -> list[str]:
         bad.append("rightmost-column c+ count")
     if rightmost["c-"] != (1 if l % 2 == 0 else 0):
         bad.append("rightmost-column c- count")
-    if sum(color_counts(grid)) != (2 * n + 1) * (n + 1):
+    if sum(map(len, grid)) != (2 * n + 1) * (n + 1):
         bad.append("face count")
     if sum(counts[k] for k in VERTEX_KINDS) != 2 * n * n:
         bad.append("vertex count")

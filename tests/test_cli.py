@@ -1,8 +1,15 @@
 import hashlib
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import ice_colors
 from ice_colors import cli, pn
 from ice_colors.cli import build_parser, main, run
 from ice_colors.exact import SingularInputError
@@ -173,6 +180,76 @@ def test_time_budget_exhaustion(capsys):
     code, _, err = run_cli(capsys, "counts", "--n", "3", "--time-budget", "0")
     assert code == 2
     assert "budget" in err
+
+
+ALL_COMMANDS = [("enumerate", "--n", "2"), ("counts", "--n", "1"),
+                ("pn", "--n", "1"), ("verify", "--trials", "1"),
+                ("bench", "--n", "1")]
+
+
+@pytest.mark.parametrize("budget", ["0", "-1", "-0.0"])
+@pytest.mark.parametrize("argv", ALL_COMMANDS, ids=lambda argv: argv[0])
+def test_spent_budget_exits_before_any_compute(capsys, argv, budget):
+    args = build_parser().parse_args([*argv, "--time-budget", budget])
+    calls = []
+    args.handler = lambda a: calls.append(a) or ("never", 0)
+    code = run(args)
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (2, "", "time budget exhausted\n")
+    assert calls == []
+
+
+def test_nan_budget_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "--n", "2", "--time-budget", "nan")
+    assert (code, out, err) == (2, "", "time budget must be a number\n")
+
+
+@pytest.mark.parametrize("budget", ["60", "inf", "1e300"])
+def test_unspent_budget_changes_nothing(capsys, budget):
+    # 60 s arms the timer; inf and 1e300 lie past its range and never run out.
+    plain = run_cli(capsys, "pn", "--n", "3")
+    assert run_cli(capsys, "pn", "--n", "3", "--time-budget", budget) == plain
+    assert plain[0] == 0
+
+
+def test_budget_bounds_the_compute():
+    # count_table(8) takes minutes; the timer must cut it off mid-compute.
+    src = str(Path(ice_colors.__file__).resolve().parents[1])
+    start = time.monotonic()
+    done = subprocess.run(
+        [sys.executable, "-m", "ice_colors.cli", "counts", "--n", "8",
+         "--time-budget", "0.3"],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": src})
+    assert time.monotonic() - start < 10
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", "time budget exhausted\n")
+
+
+def test_run_disarms_timer_and_restores_handler(capsys):
+    def sentinel(signum, frame):
+        raise AssertionError("the alarm outlived its run")
+
+    previous = signal.signal(signal.SIGALRM, sentinel)
+    try:
+        timed_out = run_cli(capsys, "counts", "--n", "8", "--time-budget", "0.2")
+        assert timed_out == (2, "", "time budget exhausted\n")
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+        assert signal.getsignal(signal.SIGALRM) is sentinel
+        finished = run_cli(capsys, "pn", "--n", "2", "--time-budget", "60")
+        assert finished[0] == 0
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+        assert signal.getsignal(signal.SIGALRM) is sentinel
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_timed_out_run_writes_no_output_file(tmp_path, capsys):
+    target = tmp_path / "table.json"
+    code, out, _ = run_cli(capsys, "counts", "--n", "8", "--time-budget", "0.2",
+                           "--output", str(target))
+    assert (code, out) == (2, "")
+    assert not target.exists()
 
 
 def test_output_file(tmp_path, capsys):
