@@ -1,10 +1,11 @@
-"""Exact arithmetic substrate: dense rational polynomials, fraction-free
+"""Exact arithmetic substrate: rational polynomial values, fraction-free
 determinants and Newton interpolation.
 
 Rationals are ``fractions.Fraction`` throughout (arbitrary precision,
-canonical form).  Polynomials are dense coefficient tuples in ascending
-degree with no trailing zeros; degrees stay small enough here that dense
-beats anything clever.
+canonical form).  A ``Poly`` is a value: a dense coefficient tuple in
+ascending degree with no trailing zeros, compared, hashed and evaluated
+but never combined.  The few sums and products the package needs are
+written over plain ``Fraction`` lists where they happen.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ def _frac(x) -> Fraction:
 
 
 class Poly:
-    """Dense univariate polynomial over Fraction."""
+    """Dense univariate polynomial over Fraction, as a value: no arithmetic."""
 
     __slots__ = ("coeffs",)
 
@@ -41,9 +42,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
             return self.coeffs == other.coeffs
@@ -56,81 +54,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if self.is_zero() or other.is_zero():
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power of a Poly")
-        result = Poly([1])
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def __divmod__(self, other):
-        other = self._coerce(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dn = other.coeffs
-        dd = other.degree
-        lead = dn[-1]
-        quot = [Fraction(0)] * max(len(rem) - dd, 0)
-        for i in range(len(rem) - dd - 1, -1, -1):
-            factor = rem[i + dd] / lead
-            if factor:
-                quot[i] = factor
-                for j, c in enumerate(dn):
-                    rem[i + j] -= factor * c
-        return Poly(quot), Poly(rem)
-
-    def exact_div(self, other: "Poly") -> "Poly":
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise SingularInputError("polynomial division left a remainder")
-        return q
-
-    @staticmethod
-    def _coerce(x) -> "Poly":
-        if isinstance(x, Poly):
-            return x
-        return Poly([x])
 
     def __call__(self, x):
         acc = 0
@@ -194,8 +117,11 @@ def interpolate(points: Sequence[tuple]) -> Poly:
     for level in range(1, len(xs)):
         for i in range(len(xs) - 1, level - 1, -1):
             coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])
-    # Horner expansion of the Newton form.
-    result = Poly()
-    for i in range(len(xs) - 1, -1, -1):
-        result = result * Poly([-xs[i], 1]) + Poly([coeffs[i]])
-    return result
+    # Horner expansion of the Newton form: times (z - x_i), then plus c_i.
+    acc: list[Fraction] = []
+    for x, c in zip(reversed(xs), reversed(coeffs)):
+        acc.insert(0, Fraction(0))
+        for j in range(len(acc) - 1):
+            acc[j] -= x * acc[j + 1]
+        acc[0] += c
+    return Poly(acc)

@@ -36,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, product
-from typing import Iterator, Optional
+from typing import Iterator
 
 
 class LatticeError(Exception):
@@ -88,7 +88,7 @@ class LatticeState:
     turn_positive: tuple[bool, ...]
 
 
-CountKey = tuple[Optional[int], Optional[int], int, int, int]
+CountKey = tuple[int, int, int, int, int]  # (m, l, k0, k1, k2)
 FaceGrid = tuple[tuple[int, ...], ...]  # face rows bottom-up, columns from the wall
 
 
@@ -175,11 +175,8 @@ def enumerate_states(n: int) -> Iterator[LatticeState]:
     turn, the earliest vertex varying slowest.  ``enumerate --dump`` prints
     this order and ``theta.partition_brute`` sums in it.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        yield LatticeState(0, (), (), ())
-        return
+    if n < 1:
+        raise ValueError("n must be >= 1")
     fills = cache(_column_fills)  # memos live for this call only
     ups: list[tuple[bool, ...]] = [()] * n
     easts: list[tuple[bool, ...]] = [()] * n
@@ -214,8 +211,6 @@ def heights(state: LatticeState) -> FaceGrid:
     :class:`InconsistentHeightsError`.
     """
     n = state.n
-    if n == 0:
-        return ((0,),)
     rows = 2 * n
 
     def mismatch(face, found, want):
@@ -248,20 +243,13 @@ def heights(state: LatticeState) -> FaceGrid:
     return tuple(map(tuple, grid))
 
 
-def color_counts(grid: FaceGrid) -> tuple[int, int, int]:
-    """Faces of each color (height mod 3) in a height grid."""
-    tally = Counter(h % 3 for row in grid for h in row)
-    return (tally[0], tally[1], tally[2])
-
-
 def vertex_census(state: LatticeState) -> tuple[Counter, Counter]:
     """Counts per vertex and turn kind, and per vertex kind in the
     rightmost column."""
     columns = _kind_columns(state)
     counts = Counter(chain.from_iterable(columns))
     counts.update("k+" if pos else "k-" for pos in state.turn_positive)
-    rightmost = Counter(columns[-1]) if columns else Counter()
-    return counts, rightmost
+    return counts, Counter(columns[-1])
 
 
 def left_arrow_row(state: LatticeState) -> int:
@@ -285,18 +273,9 @@ class CountTable:
     def total(self) -> int:
         return sum(self.counts.values())
 
-    @staticmethod
-    def _sort_key(key: CountKey):
-        m, l, k0, k1, k2 = key
-        return (-1 if m is None else m, -1 if l is None else l, k0, k1, k2)
-
     def records(self) -> list[dict]:
-        out = []
-        for key in sorted(self.counts, key=self._sort_key):
-            m, l, k0, k1, k2 = key
-            out.append({"m": m, "l": l, "k0": k0, "k1": k1, "k2": k2,
-                        "count": self.counts[key]})
-        return out
+        return [{"m": m, "l": l, "k0": k0, "k1": k1, "k2": k2, "count": count}
+                for (m, l, k0, k1, k2), count in sorted(self.counts.items())]
 
     def to_json(self) -> str:
         return json.dumps(self.records())
@@ -305,12 +284,8 @@ class CountTable:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["m", "l", "k0", "k1", "k2", "count"])
-        for rec in self.records():
-            writer.writerow([
-                "" if rec["m"] is None else rec["m"],
-                "" if rec["l"] is None else rec["l"],
-                rec["k0"], rec["k1"], rec["k2"], rec["count"],
-            ])
+        for key, count in sorted(self.counts.items()):
+            writer.writerow([*key, count])
         return buf.getvalue()
 
 
@@ -360,10 +335,8 @@ def count_table(n: int) -> CountTable:
     fills are memoised per (edges below, turn-side arrow).  No state is
     built; ``enumerate_states`` is the per-state reference.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return CountTable(0, {(None, None, 1, 0, 0): 1})
+    if n < 1:
+        raise ValueError("n must be >= 1")
     fill = cache(_row_fills)  # memos live for this call only
     face_colors = cache(_face_colors)
 
@@ -407,8 +380,6 @@ def count_table(n: int) -> CountTable:
 def render_state(state: LatticeState) -> str:
     """ASCII dump: arrows interleaved with the face height grid."""
     n = state.n
-    if n == 0:
-        return "  0\n"
     grid = heights(state)
     lines = []
     for fr in range(2 * n, -1, -1):

@@ -43,7 +43,7 @@ class CountFormula:
             return comb(n - 1, m - 1) if m >= 1 else 0
         if self.tag == "B":
             return comb(n, m)
-        return comb(n - 1, m) if m <= n - 1 else 0
+        return comb(n - 1, m)
 
     def row_offsets(self) -> tuple[int, int]:
         return {"A": (0, -1), "B": (0, 1), "C": (1, 2)}[self.tag]
@@ -165,7 +165,7 @@ def pn_consistent(n: int, table: CountTable | None = None) -> Poly:
                         f"{[format_fraction(c) for c in raw.coeffs]}"
                     )
                 continue
-            results[label] = raw * Fraction(1, binom)
+            results[label] = Poly(c / binom for c in raw.coeffs)
     reference_label, reference = next(iter(results.items()))
     for label, poly in results.items():
         if poly != reference:

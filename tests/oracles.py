@@ -14,19 +14,24 @@ cached column kinds and per-draw weight memo (``enumerate_states``,
 is evaluated here from its definition at distinct arguments, and its value
 at repeated arguments as a perturbation limit, apart from the package's
 confluent formula (``tpoly.t_at_specialization``).  The count sums and the
-symmetry image are built here from ``Poly`` powers over ``Fraction``, apart
-from the package's integer binomial expansions (``pn._assemble`` and
-``pn.symmetry_check``).
+symmetry image are built here from powers over ``Fraction``, by this
+module's own coefficient-list arithmetic (``poly_add``, ``poly_mul``,
+``poly_pow``, ``poly_divmod``), apart from the package's integer binomial
+expansions (``pn._assemble`` and ``pn.symmetry_check``); the package's
+``Poly`` is only a value and does no arithmetic.  Face colors per state
+are tallied here from a height grid (``color_counts``), apart from the
+package's per-face-row tally in ``count_table``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import prod
 
-from ice_colors.exact import Poly
-from ice_colors.lattice import LatticeState, classify_vertex, heights
+from ice_colors.exact import Poly, SingularInputError
+from ice_colors.lattice import FaceGrid, LatticeState, classify_vertex, heights
 from ice_colors.theta import ModelParams, turn_weight, vertex_weight
 from ice_colors.tpoly import g_eval
 
@@ -81,8 +86,6 @@ def vertex_walk_states(n: int) -> list[LatticeState]:
     """Every state, one vertex per step: turn signs in ``product`` order,
     then columns from the wall, each bottom-up, trying each vertex's
     completions in turn."""
-    if n == 0:
-        return [LatticeState(0, (), (), ())]
     rows = 2 * n
     states = []
     for turns in product((False, True), repeat=n):
@@ -114,6 +117,12 @@ def vertex_walk_states(n: int) -> list[LatticeState]:
 
         walk(0, 0)
     return states
+
+
+def color_counts(grid: FaceGrid) -> tuple[int, int, int]:
+    """Faces of each color (height mod 3) in a height grid."""
+    tally = Counter(h % 3 for row in grid for h in row)
+    return (tally[0], tally[1], tally[2])
 
 
 def classified_grid(state: LatticeState) -> tuple[tuple[str, ...], ...]:
@@ -239,30 +248,82 @@ def t_perturbation_limit(targets, psi) -> Fraction:
     return total
 
 
+# Polynomials below are ascending coefficient lists over Fraction; trailing
+# zeros are allowed, and ``Poly(...)`` of a list strips them for comparison.
+
+
+def poly_add(a, b) -> list[Fraction]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = [Fraction(c) for c in a]
+    for i, c in enumerate(b):
+        out[i] += c
+    return out
+
+
+def poly_mul(a, b) -> list[Fraction]:
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def poly_pow(a, k: int) -> list[Fraction]:
+    out = [Fraction(1)]
+    for _ in range(k):
+        out = poly_mul(out, a)
+    return out
+
+
+def poly_divmod(a, b) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder by long division; the remainder's degree is
+    below the divisor's."""
+    b = [Fraction(c) for c in b]
+    while b and b[-1] == 0:
+        b.pop()
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = [Fraction(c) for c in a]
+    shift = len(b) - 1
+    quot = [Fraction(0)] * max(len(rem) - shift, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        quot[i] = rem[i + shift] / b[-1]
+        for j, c in enumerate(b):
+            rem[i + j] -= quot[i] * c
+    return quot, rem[:shift]
+
+
+def poly_exact_div(a, b) -> list[Fraction]:
+    quot, rem = poly_divmod(a, b)
+    if any(rem):
+        raise SingularInputError("polynomial division left a remainder")
+    return quot
+
+
 def assemble_by_poly_powers(sums: dict[int, int], n: int) -> Poly:
-    """Sum of c * (z(z-1))^e * (z+1)^(n(n-1)-2e) over ``{e: c}``, by Poly
-    powers over a shared denominator; a remainder in the trailing exact
-    division raises ``SingularInputError``."""
+    """Sum of c * (z(z-1))^e * (z+1)^(n(n-1)-2e) over ``{e: c}``, by powers
+    over a shared denominator; a remainder in the trailing exact division
+    raises ``SingularInputError``."""
     if not sums:
         return Poly()
-    p, q = Poly([0, -1, 1]), Poly([1, 1])
+    p, q = [0, -1, 1], [1, 1]
     top = n * (n - 1)
     p_den = max(0, -min(sums))
     q_den = max(0, 2 * max(sums) - top)
-    acc = Poly()
+    acc: list[Fraction] = []
     for e, c in sums.items():
-        acc = acc + c * p ** (e + p_den) * q ** (top - 2 * e + q_den)
-    if p_den:
-        acc = acc.exact_div(p**p_den)
-    if q_den:
-        acc = acc.exact_div(q**q_den)
-    return acc
+        term = poly_mul(poly_pow(p, e + p_den), poly_pow(q, top - 2 * e + q_den))
+        acc = poly_add(acc, poly_mul([c], term))
+    acc = poly_exact_div(acc, poly_pow(p, p_den))
+    return Poly(poly_exact_div(acc, poly_pow(q, q_den)))
 
 
 def symmetry_image(p: Poly, n: int) -> Poly:
-    """((1+3z)/2)^(n(n-1)) * p((1-z)/(1+3z)) by Poly composition."""
+    """((1+3z)/2)^(n(n-1)) * p((1-z)/(1+3z)) by composition."""
     power = n * (n - 1)
-    out = Poly()
+    out: list[Fraction] = []
     for k, coeff in enumerate(p.coeffs):
-        out = out + coeff * Poly([1, -1]) ** k * Poly([1, 3]) ** (power - k)
-    return out * Fraction(1, 2**power)
+        term = poly_mul(poly_pow([1, -1], k), poly_pow([1, 3], power - k))
+        out = poly_add(out, poly_mul([coeff], term))
+    return Poly(poly_mul(out, [Fraction(1, 2**power)]))

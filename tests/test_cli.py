@@ -140,10 +140,13 @@ def test_usage_errors():
     assert err.value.code == 2
 
 
-def test_domain_error_exit_code(capsys):
-    code, _, err = run_cli(capsys, "enumerate", "--n", "-1")
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize("command", ["enumerate", "counts"])
+def test_domain_error_exit_code(capsys, command, n):
+    code, out, err = run_cli(capsys, command, "--n", n)
     assert code == 2
-    assert err
+    assert out == ""
+    assert err == "n must be >= 1\n"
 
 
 def test_trials_must_be_positive(capsys):
@@ -262,5 +265,5 @@ def test_output_file(tmp_path, capsys):
 
 def test_main_exits(capsys):
     with pytest.raises(SystemExit) as err:
-        main(["enumerate", "--n", "0"])
+        main(["enumerate", "--n", "1"])
     assert err.value.code == 0

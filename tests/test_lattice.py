@@ -6,12 +6,12 @@ import pytest
 from ice_colors import lattice, verify
 from ice_colors.lattice import (CountTable, IceRuleError,
                                 InconsistentHeightsError, LatticeState,
-                                LeftArrowError, color_counts, count_table,
+                                LeftArrowError, count_table,
                                 enumerate_states, heights, left_arrow_row,
                                 render_state, vertex_census, vertex_kinds)
 from ice_colors.verify import state_violations
 
-from oracles import (all_assignment_states, classified_grid,
+from oracles import (all_assignment_states, classified_grid, color_counts,
                      transfer_counts_by_m, vertex_walk_states)
 
 
@@ -20,10 +20,10 @@ def state_key(s):
     return (sum(s.turn_positive), left_arrow_row(s), *color_counts(heights(s)))
 
 
-def test_n0_single_empty_state():
-    states = list(enumerate_states(0))
-    assert len(states) == 1
-    assert heights(states[0]) == ((0,),)
+def test_enumerate_states_rejects_n_below_1():
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            next(enumerate_states(n))
 
 
 def test_n1_two_states_with_expected_stats():
@@ -64,7 +64,7 @@ def test_deterministic_order():
 def test_enumeration_order_matches_vertex_walk():
     # Same states in the same order: --dump prints it and the brute
     # partition sum adds floats in it.
-    for n in range(5):
+    for n in range(1, 5):
         assert list(enumerate_states(n)) == vertex_walk_states(n)
 
 
@@ -221,7 +221,7 @@ def test_corrupt_edge_breaks_heights_and_classification():
 
 
 def test_vertex_kinds_match_per_vertex_classification():
-    for n in range(4):
+    for n in range(1, 4):
         for s in enumerate_states(n):
             assert vertex_kinds(s) == classified_grid(s)
 
@@ -281,27 +281,19 @@ def test_count_table_n1_exact():
     assert table.counts == {(0, 2, 3, 2, 1): 1, (1, 1, 3, 1, 2): 1}
 
 
-def test_count_table_n0():
-    table = count_table(0)
-    assert table.counts == {(None, None, 1, 0, 0): 1}
-    assert table.records() == [
-        {"m": None, "l": None, "k0": 1, "k1": 0, "k2": 0, "count": 1}
-    ]
+def test_count_table_rejects_n_below_1():
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            count_table(n)
 
 
 def per_state_table(n):
     """The count table rebuilt from every enumerated state's own key."""
-    tally = Counter()
-    for s in enumerate_states(n):
-        if n == 0:  # m and l are undefined on the empty lattice
-            tally[(None, None, *color_counts(heights(s)))] += 1
-        else:
-            tally[state_key(s)] += 1
-    return CountTable(n, dict(tally))
+    return CountTable(n, dict(Counter(map(state_key, enumerate_states(n)))))
 
 
 def test_count_table_matches_per_state_reference():
-    for n in range(5):
+    for n in range(1, 5):
         table, reference = count_table(n), per_state_table(n)
         assert table.records() == reference.records()
         assert table.to_json() == reference.to_json()
