@@ -71,14 +71,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, args: argparse.Namespace) -> None:
+def _emit(text: str, args: argparse.Namespace) -> bool:
+    """Write the report; False, after one stderr line, if --output fails."""
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w") as handle:
+                handle.write(text)
+        except OSError as err:
+            print(f"cannot write {args.output}: {err.strerror}", file=sys.stderr)
+            return False
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+    return True
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> tuple[str, int]:
@@ -189,8 +195,7 @@ def run(args: argparse.Namespace) -> int:
     except ValueError as err:
         print(str(err), file=sys.stderr)
         return 2
-    _emit(text, args)
-    return code
+    return code if _emit(text, args) else 2
 
 
 def main(argv=None) -> None:

@@ -127,9 +127,10 @@ def vertex_kinds(state: LatticeState) -> tuple[tuple[str, ...], ...]:
     return tuple(zip(*_kind_columns(state)))
 
 
-# Completions (N_up, E_right) for a vertex whose W and S edges are known,
-# keyed by how many of N, E must still point inward.  Order is fixed so the
-# enumeration is deterministic.
+# Completions (leaving, other) of a vertex whose entering and side arrows are
+# known, keyed by how many of the two must still point inward.  True is up or
+# right: into the vertex for entering and side arrows, out of it for leaving
+# and other ones.  Order is fixed so the walks are deterministic.
 _COMPLETIONS = {
     0: ((True, True),),
     1: ((True, False), (False, True)),
@@ -137,43 +138,42 @@ _COMPLETIONS = {
 }
 
 
+def _line_fills(side: tuple[bool, ...], entering: bool, leaving: bool
+                ) -> list[tuple[tuple[bool, ...], tuple[bool, ...]]]:
+    """Every ice-rule fill of a line of vertices whose ``side`` arrows come
+    in from one side: ``(along, other)`` pairs of the arrows along the line,
+    from ``entering`` into the first vertex to ``leaving`` out of the last,
+    and the arrows out of its other side.  Pairs come in the order of a
+    search that tries each vertex's ``_COMPLETIONS`` in turn, the first
+    vertex varying slowest."""
+    fills = [((entering,), ())]
+    for arrow in side:
+        fills = [(along + (out,), other + (beside,))
+                 for along, other in fills
+                 for out, beside in _COMPLETIONS[2 - arrow - along[-1]]]
+    return [fill for fill in fills if fill[0][-1] == leaving]
+
+
 def _column_fills(west: tuple[bool, ...], last: bool
                   ) -> list[tuple[tuple[bool, ...], tuple[bool, ...]]]:
-    """Every way to fill one lattice column whose west arrows are ``west``.
-
-    Returns ``(up, east)`` pairs: the column's vertical edges (bottom
-    boundary first) and the arrows leaving its east side, bottom-up.  The
-    top edge points down, and in the ``last`` column every east arrow points
-    right.  Pairs come in the order of a vertex-by-vertex search that tries
-    each vertex's ``_COMPLETIONS`` in turn, the lowest vertex varying
-    slowest.
-    """
-    rows = len(west)
-    fills = [((True,), ())]
-    for r in range(rows):
-        grown = []
-        for up, east in fills:
-            inward = int(west[r]) + int(up[-1])
-            for n_up, e_right in _COMPLETIONS[2 - inward]:
-                if r == rows - 1 and n_up:
-                    continue  # top boundary edge must point down
-                if last and not e_right:
-                    continue  # right boundary edge must point right
-                grown.append((up + (n_up,), east + (e_right,)))
-        fills = grown
-    return fills
+    """Every way to fill one lattice column whose west arrows are ``west``:
+    ``(up, east)`` pairs in ``_line_fills`` order, its vertical edges from
+    the bottom one (up) to the top one (down) and its east arrows bottom-up,
+    all pointing right in the ``last`` column."""
+    return [fill for fill in _line_fills(west, True, False) if not last or all(fill[1])]
 
 
 def enumerate_states(n: int) -> Iterator[LatticeState]:
     """Yield every admissible state exactly once, in a fixed order.
 
     A depth-first search fills one lattice column at a time, from the wall
-    rightward; the fills of a column depend only on its west arrows and on
-    whether it is the last column, so they are listed once per call.  The
-    order is the turn signs in ``itertools.product`` order, then, column by
-    column and bottom-up within a column, each vertex's ``_COMPLETIONS`` in
-    turn, the earliest vertex varying slowest.  ``enumerate --dump`` prints
-    this order and ``theta.partition_brute`` sums in it.
+    rightward, each by a ``_line_fills`` walk up the column; the fills of a
+    column depend only on its west arrows and on whether it is the last
+    column, so they are listed once per call.  The order is the turn signs in
+    ``itertools.product`` order, then, column by column and bottom-up within
+    a column, each vertex's ``_COMPLETIONS`` in turn, the earliest vertex
+    varying slowest.  ``enumerate --dump`` prints this order and
+    ``theta.partition_brute`` sums in it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -291,25 +291,10 @@ class CountTable:
 
 def _row_fills(below: tuple[bool, ...], w0: bool) -> list[tuple[tuple[bool, ...], bool]]:
     """Every vertex row over the vertical edges ``below`` whose turn-side
-    arrow is ``w0`` and whose right-boundary arrow points right.
-
-    Returns ``(above, left)`` pairs: the vertical edges above the row, and
-    whether segment ``n-1`` points left.  Once the north arrow of a vertex is
-    chosen the ice rule fixes its east arrow, so ``above`` determines the row.
-    """
-    n = len(below)
-    partial = [((), w0, False)]  # (edges above so far, arrow entering column c, left)
-    for c in range(n):
-        grown = []
-        for above, w, left in partial:
-            if c == n - 1:
-                left = not w
-            for n_up in (True, False):
-                inward = int(w) + int(below[c]) + int(not n_up)
-                if inward in (1, 2):  # east arrow points left / right
-                    grown.append((above + (n_up,), inward == 2, left))
-        partial = grown
-    return [(above, left) for above, w, left in partial if w]
+    arrow is ``w0`` and whose right-boundary arrow points right, as
+    ``(above, left)`` pairs in ``_line_fills`` order: the vertical edges
+    above the row, and whether segment ``n-1`` points left."""
+    return [(above, not along[-2]) for along, above in _line_fills(below, w0, True)]
 
 
 def _face_colors(edges: tuple[bool, ...], wall: int) -> tuple[int, int, int]:
@@ -331,9 +316,11 @@ def count_table(n: int) -> CountTable:
     advances one turn (a lower and an upper lattice row) at a time; the
     transfer structure is Kuperberg's U-turn/VSASM one (arXiv:math/0008184).
     A face row's colors follow from its vertical edges and its wall face: 0
-    on even face rows, -1 or +1 inside a positive or negative turn.  Row
-    fills are memoised per (edges below, turn-side arrow).  No state is
-    built; ``enumerate_states`` is the per-state reference.
+    on even face rows, -1 or +1 inside a positive or negative turn.  Each
+    lattice row is a ``_line_fills`` walk from the turn rightward, the same
+    ice-rule fill the state walk runs up each column, memoised per (edges
+    below, turn-side arrow).  No state is built; ``enumerate_states`` is the
+    per-state reference.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -194,10 +194,11 @@ def filali_suite(sampler: ParamSampler, trials: int = 20,
 def _color_weighted_sums(table: CountTable, rho_m: complex,
                          p: complex) -> dict[tuple[int, int], complex]:
     """For each (m, l): sum over states of the inverse cubed face thetas,
-    which depends on a state only through its color census."""
+    which depends on a state only through its color census.  Cells are
+    added in key order, so no counting engine's walk order moves the sums."""
     t = [theta(rho_m, p), theta(rho_m * OMEGA, p), theta(rho_m * OMEGA**2, p)]
     sums: dict[tuple[int, int], complex] = {}
-    for (m, l, k0, k1, k2), cnt in table.counts.items():
+    for (m, l, k0, k1, k2), cnt in sorted(table.counts.items()):
         value = cnt / (t[0] ** (3 * k0) * t[1] ** (3 * k1) * t[2] ** (3 * k2))
         sums[(m, l)] = sums.get((m, l), 0j) + value
     return sums

@@ -4,11 +4,12 @@ Nothing here reuses the package's enumeration logic: the brute-force oracle
 filters every possible edge assignment, and the transfer oracle marches row
 configurations with its own ice-rule bookkeeping.  Both exist so that bugs
 in the package's state enumeration (``enumerate_states``) and its
-row-transfer counting (``count_table``) cannot hide.  The vertex walk
-enumerates one vertex at a time and pins the order in which
-``enumerate_states`` yields states; the per-state
-brute sum classifies every vertex of every walked state and multiplies its
-local weights afresh, apart from the package's column-at-a-time search,
+row-transfer counting (``count_table``) cannot hide; those two share one
+ice-rule line fill (``lattice._line_fills``), and nothing here uses it.
+The vertex walk enumerates one vertex at a time, with its own completions
+table, and pins the order in which ``enumerate_states`` yields states; the
+per-state brute sum classifies every vertex of every walked state and
+multiplies its local weights afresh, apart from the package's column-at-a-time search,
 cached column kinds and per-draw weight memo (``enumerate_states``,
 ``vertex_kinds`` and ``theta.partition_brute``).  Likewise the ratio T
 is evaluated here from its definition at distinct arguments, and its value

@@ -263,6 +263,15 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())[0]["count"] == 1
 
 
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_unwritable_output_exits_2(tmp_path, capsys, where):
+    target = tmp_path / "missing" / "x.json" if where == "missing_dir" else tmp_path
+    code, out, err = run_cli(capsys, "pn", "--n", "2", "--output", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"cannot write {target}: ")
+    assert err.count("\n") == 1
+
+
 def test_main_exits(capsys):
     with pytest.raises(SystemExit) as err:
         main(["enumerate", "--n", "1"])

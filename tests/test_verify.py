@@ -1,8 +1,13 @@
-from ice_colors.lattice import count_table
+from dataclasses import replace
+
+import pytest
+
+from ice_colors.lattice import CountTable, count_table
 from ice_colors.pn import pn_consistent
 from ice_colors.theta import ParamSampler, resample
 from ice_colors.verify import (IdentityReport, POINTWISE_TOL, filali_suite,
-                               identity_suite, lattice_suite, relerr,
+                               grouped_state_sum, identity_suite, lattice_suite,
+                               quarter_point_state_sum, relerr,
                                specialization_check, specialization_suite)
 
 
@@ -44,6 +49,20 @@ def test_specialization_check_single_draw():
     assert result.generic_column <= 1e-8
     assert result.quarter_point_sum <= 1e-8
     assert result.quarter_point_determinant <= 1e-8
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_specialization_sums_ignore_count_table_order(n):
+    table = count_table(n)
+    reversed_table = CountTable(n, dict(reversed(list(table.counts.items()))))
+    sampler = ParamSampler(31)
+    for _ in range(12):
+        params = sampler.supersymmetric_params(n)
+        quarter = replace(params, mu=params.mu[:-1] + (0.25 + 0j,))
+        assert (grouped_state_sum(n, params, table)
+                == grouped_state_sum(n, params, reversed_table))
+        assert (quarter_point_state_sum(n, quarter, table)
+                == quarter_point_state_sum(n, quarter, reversed_table))
 
 
 def test_specialization_suite_n2():
