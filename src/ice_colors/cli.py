@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import signal
 import sys
 import time
@@ -72,18 +73,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, args: argparse.Namespace) -> bool:
-    """Write the report; False, after one stderr line, if --output fails."""
-    if args.output:
-        try:
+    """Write the report; False, after one stderr line, if the write fails."""
+    try:
+        if args.output:
             with open(args.output, "w") as handle:
                 handle.write(text)
-        except OSError as err:
-            print(f"cannot write {args.output}: {err.strerror}", file=sys.stderr)
-            return False
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        else:
+            sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            sys.stdout.flush()
+    except OSError as err:
+        if not args.output:  # so the exit flush cannot fail a second time
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"cannot write {args.output or 'stdout'}: {err.strerror}", file=sys.stderr)
+        return False
     return True
 
 

@@ -25,6 +25,10 @@ the left; the upper-left face is pinned to height 0.  This forces every wall
 face to height 0 and the face inside a turn to -1 (positive turn) or +1
 (negative turn).  Heights mod 3 give a proper three-coloring; a positive
 turn face has color 2, a negative one color 1.
+The east arrows of a column agree with the heights carried over from its
+west side exactly when its every vertex obeys the ice rule, and the wall
+column follows from the segment-0 arrows.  So heights exist exactly when
+the ice rule holds everywhere and every turn matches its wall faces.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, product
+from itertools import product
 from typing import Iterator
 
 
@@ -120,6 +124,18 @@ def _kind_columns(state: LatticeState) -> list[tuple[str, ...]]:
     segments = tuple(zip(*state.right))  # horizontal arrows per segment, bottom-up
     return [_column_kinds(segments[c], segments[c + 1], state.up[c])
             for c in range(state.n)]
+
+
+@cache
+def _kinds_tally(kinds: tuple[str, ...]) -> tuple[int, ...]:
+    return tuple(map(kinds.count, VERTEX_KINDS))
+
+
+def column_tallies(state: LatticeState) -> list[tuple[int, ...]]:
+    """Vertex count per kind, in ``VERTEX_KINDS`` order, of each column from
+    the wall, tallied once per distinct column; raises :class:`IceRuleError`
+    where a vertex breaks the ice rule."""
+    return [_kinds_tally(kinds) for kinds in _kind_columns(state)]
 
 
 def vertex_kinds(state: LatticeState) -> tuple[tuple[str, ...], ...]:
@@ -241,15 +257,6 @@ def heights(state: LatticeState) -> FaceGrid:
             if inner != want:
                 raise mismatch((2 * i + 1, 0), inner, want)
     return tuple(map(tuple, grid))
-
-
-def vertex_census(state: LatticeState) -> tuple[Counter, Counter]:
-    """Counts per vertex and turn kind, and per vertex kind in the
-    rightmost column."""
-    columns = _kind_columns(state)
-    counts = Counter(chain.from_iterable(columns))
-    counts.update("k+" if pos else "k-" for pos in state.turn_positive)
-    return counts, Counter(columns[-1])
 
 
 def left_arrow_row(state: LatticeState) -> int:

@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 from math import comb
 
 from .exact import Poly
-from .lattice import (CountTable, VERTEX_KINDS, count_table, enumerate_states,
-                      heights, left_arrow_row, vertex_census)
+from .lattice import (CountTable, LatticeError, column_tallies, count_table,
+                      enumerate_states, left_arrow_row)
 from .pn import pn_consistent
 from .theta import (OMEGA, TWO_PI_I, ModelParams, ParamSampler,
                     partition_brute, partition_filali, psi_numeric, resample,
@@ -374,29 +374,40 @@ def specialization_suite(sampler: ParamSampler, trials: int = 5,
 
 
 def state_violations(state) -> list[str]:
-    """Every exact per-state invariant; returns human-readable failures."""
+    """Every exact per-state invariant; returns human-readable failures, or a
+    broken lattice rule's message.  No face grid: heights exist exactly when
+    every vertex obeys the ice rule and each turn matches the wall (``lattice``)."""
     n = state.n
+    shape = [*map(len, state.right), *map(len, state.up), len(state.turn_positive)]
+    if shape != [n + 1] * (2 * n) + [2 * n + 1] * n + [n]:
+        return ["face count"]
+    try:
+        tallies, l = column_tallies(state), left_arrow_row(state)
+    except LatticeError as err:
+        return [str(err)]
+    _, _, b_p, b_m, c_p, c_m = map(sum, zip(*tallies))
+    _, _, last_b_p, last_b_m, last_c_p, last_c_m = tallies[-1]
     bad = []
-    grid = heights(state)  # raises on path dependence
-    l = left_arrow_row(state)
-    counts, rightmost = vertex_census(state)
-    if counts["b+"] != counts["b-"] + comb(n + 1, 2):
+    if b_p != b_m + comb(n + 1, 2):
         bad.append("b+ / b- census identity")
-    if counts["c+"] + 2 * counts["k-"] != counts["c-"] + n:
+    if c_p + 2 * state.turn_positive.count(False) != c_m + n:
         bad.append("c+ / c- / k- census identity")
-    if rightmost["b+"] != n or rightmost["b-"] != 0:
+    if last_b_p != n or last_b_m != 0:
         bad.append("rightmost-column b census")
-    if rightmost["c+"] != (1 if l % 2 == 1 else 0):
+    if last_c_p != (1 if l % 2 == 1 else 0):
         bad.append("rightmost-column c+ count")
-    if rightmost["c-"] != (1 if l % 2 == 0 else 0):
+    if last_c_m != (1 if l % 2 == 0 else 0):
         bad.append("rightmost-column c- count")
-    if sum(map(len, grid)) != (2 * n + 1) * (n + 1):
-        bad.append("face count")
-    if sum(counts[k] for k in VERTEX_KINDS) != 2 * n * n:
+    if sum(map(sum, tallies)) != 2 * n * n:
         bad.append("vertex count")
+    wall = [0] * (2 * n + 1)  # wall face heights, bottom-up; the top one is 0
+    for r in range(2 * n - 1, -1, -1):
+        wall[r] = wall[r + 1] - (1 if state.right[r][0] else -1)
     for i, pos in enumerate(state.turn_positive):
-        want = 2 if pos else 1
-        if grid[2 * i + 1][0] % 3 != want:
+        inner, step = wall[2 * i + 1], -1 if pos else 1
+        if inner != wall[2 * i] + step or inner != wall[2 * i + 2] + step:
+            bad.append(f"turn {i} heights")
+        if inner % 3 != (2 if pos else 1):
             bad.append(f"turn {i} face color")
     return bad
 

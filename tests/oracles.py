@@ -21,7 +21,9 @@ module's own coefficient-list arithmetic (``poly_add``, ``poly_mul``,
 expansions (``pn._assemble`` and ``pn.symmetry_check``); the package's
 ``Poly`` is only a value and does no arithmetic.  Face colors per state
 are tallied here from a height grid (``color_counts``), apart from the
-package's per-face-row tally in ``count_table``.
+package's per-face-row tally in ``count_table``, and vertex kinds per state
+from one ``classify_vertex`` call per vertex (``vertex_census``), apart from
+the package's cached column tallies (``lattice.column_tallies``).
 """
 
 from __future__ import annotations
@@ -135,6 +137,15 @@ def classified_grid(state: LatticeState) -> tuple[tuple[str, ...], ...]:
                               state.up[c][r], state.up[c][r + 1])
               for c in range(n))
         for r in range(2 * n))
+
+
+def vertex_census(state: LatticeState) -> tuple[Counter, Counter]:
+    """Counts per vertex and turn kind, and per vertex kind in the rightmost
+    column, from ``classified_grid``."""
+    grid = classified_grid(state)
+    counts = Counter(kind for row in grid for kind in row)
+    counts.update("k+" if pos else "k-" for pos in state.turn_positive)
+    return counts, Counter(row[-1] for row in grid)
 
 
 def brute_sum_per_state(n: int, params: ModelParams) -> complex:

@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import ice_colors
-from ice_colors import cli, pn
+from ice_colors import cli, pn, verify
 from ice_colors.cli import build_parser, main, run
 from ice_colors.exact import SingularInputError
+from ice_colors.lattice import LatticeState, enumerate_states
 
 
 def run_cli(capsys, *argv):
@@ -95,6 +96,19 @@ def test_verify_lattice(capsys):
     assert code == 0
     assert [r["name"] for r in json.loads(out)] == [
         "state_invariants_n1", "state_invariants_n2"]
+
+
+def test_state_breaking_lattice_rules_is_reported(capsys, monkeypatch):
+    # A state whose middle vertical arrow is reversed breaks the ice rule;
+    # it must count as a failed state, not escape as a traceback.
+    state = next(iter(enumerate_states(1)))
+    flipped = (state.up[0][0], not state.up[0][1], state.up[0][2])
+    broken = LatticeState(1, state.right, (flipped,), state.turn_positive)
+    monkeypatch.setattr(verify, "enumerate_states", lambda n: iter([broken]))
+    code, out, err = run_cli(capsys, "verify", "--suite", "lattice", "--n", "1")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == [{"name": "state_invariants_n1", "trials": 1,
+                                "max_rel_residual": 1.0, "pass": False}]
 
 
 def test_bench(capsys):
@@ -270,6 +284,34 @@ def test_unwritable_output_exits_2(tmp_path, capsys, where):
     assert (code, out) == (2, "")
     assert err.startswith(f"cannot write {target}: ")
     assert err.count("\n") == 1
+
+
+def _cli_process(*argv, stdout):
+    # Default stdio buffering: with PYTHONUNBUFFERED the text layer writes
+    # straight to the file and a partial write raises nothing.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(ice_colors.__file__).resolve().parents[1])
+    return subprocess.Popen([sys.executable, "-m", "ice_colors.cli", *argv],
+                            stdout=stdout, stderr=subprocess.PIPE, text=True,
+                            env=env)
+
+
+def test_stdout_closed_early_exits_2():
+    # The n = 5 table is far larger than a pipe holds, so the reader closes
+    # its end while the report is still being written.
+    with _cli_process("counts", "--n", "5", stdout=subprocess.PIPE) as proc:
+        assert proc.stdout.read(1) == "["
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 2
+        assert proc.stderr.read() == "cannot write stdout: Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_stdout_on_full_device_exits_2():
+    with open("/dev/full", "w") as full, _cli_process("counts", "--n", "3",
+                                                      stdout=full) as proc:
+        assert proc.wait(timeout=60) == 2
+        assert proc.stderr.read() == "cannot write stdout: No space left on device\n"
 
 
 def test_main_exits(capsys):

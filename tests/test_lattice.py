@@ -1,18 +1,19 @@
 from collections import Counter
+from itertools import product
 from math import comb
 
 import pytest
 
 from ice_colors import lattice, verify
-from ice_colors.lattice import (CountTable, IceRuleError,
+from ice_colors.lattice import (VERTEX_KINDS, CountTable, IceRuleError,
                                 InconsistentHeightsError, LatticeState,
-                                LeftArrowError, count_table,
+                                LeftArrowError, column_tallies, count_table,
                                 enumerate_states, heights, left_arrow_row,
-                                render_state, vertex_census, vertex_kinds)
-from ice_colors.verify import state_violations
+                                render_state, vertex_kinds)
+from ice_colors.verify import lattice_suite, state_violations
 
 from oracles import (all_assignment_states, classified_grid, color_counts,
-                     transfer_counts_by_m, vertex_walk_states)
+                     transfer_counts_by_m, vertex_census, vertex_walk_states)
 
 
 def state_key(s):
@@ -139,6 +140,42 @@ def test_census_identities_all_states():
             assert rightmost["b-"] == 0
 
 
+def test_column_tallies_sum_to_oracle_census():
+    for n in (1, 2, 3):
+        for s in enumerate_states(n):
+            counts, rightmost = vertex_census(s)
+            tallies = column_tallies(s)
+            assert len(tallies) == n
+            assert tuple(map(sum, zip(*tallies))) == tuple(counts[k] for k in VERTEX_KINDS)
+            assert tallies[-1] == tuple(rightmost[k] for k in VERTEX_KINDS)
+
+
+@pytest.mark.parametrize("rows", [2, 4])
+def test_column_ice_rule_is_height_consistency(rows):
+    # Carry face heights across one column from its west side through its
+    # vertical arrows (the face above a right arrow is one higher, the face
+    # right of an up arrow one lower).  The east arrows agree with them
+    # exactly when every vertex of the column obeys the ice rule, which is
+    # why state_violations needs no face grid.
+    cases = 0
+    for bits in product((False, True), repeat=3 * rows + 1):
+        west, east, up = bits[:rows], bits[rows:2 * rows], bits[2 * rows:]
+        west_faces = [0]
+        for arrow in west:
+            west_faces.append(west_faces[-1] + (1 if arrow else -1))
+        east_faces = [h + (-1 if arrow else 1) for h, arrow in zip(west_faces, up)]
+        consistent = all(east_faces[r + 1] - east_faces[r] == (1 if east[r] else -1)
+                         for r in range(rows))
+        try:
+            lattice._column_kinds(west, east, up)
+            ice_rule = True
+        except IceRuleError:
+            ice_rule = False
+        assert ice_rule == consistent, (west, east, up)
+        cases += 1
+    assert cases == {2: 128, 4: 8192}[rows]
+
+
 def test_rightmost_column_pattern():
     # Given the left-arrow row, the whole last vertex column is forced.
     for n in (1, 2, 3):
@@ -220,6 +257,37 @@ def test_corrupt_edge_breaks_heights_and_classification():
     assert cases == 2 * 8 + 12 * 24 + 208 * 48 == 10288
 
 
+def test_state_violations_flags_every_single_corruption():
+    # The same corruptions that test_corrupt_edge_breaks_heights_and_classification
+    # feeds to heights, here without a face grid.
+    cases = 0
+    for n in (1, 2, 3):
+        for state in enumerate_states(n):
+            for broken in single_corruptions(state):
+                assert state_violations(broken), broken
+                cases += 1
+    assert cases == 10288
+
+
+def test_state_violations_checks_turns_against_wall():
+    # Swapping two opposite turn signs keeps every arrow and the census
+    # identities; only the turns' wall faces show it.
+    cases = 0
+    for n in (2, 3):
+        for state in enumerate_states(n):
+            turns = state.turn_positive
+            for i, j in ((i, j) for i in range(n) for j in range(n) if turns[i] and not turns[j]):
+                swapped = list(turns)
+                swapped[i], swapped[j] = False, True
+                broken = LatticeState(n, state.right, state.up, tuple(swapped))
+                found = state_violations(broken)
+                assert f"turn {i} heights" in found and f"turn {j} heights" in found
+                with pytest.raises(InconsistentHeightsError):
+                    heights(broken)
+                cases += 1
+    assert cases == 318
+
+
 def test_vertex_kinds_match_per_vertex_classification():
     for n in range(1, 4):
         for s in enumerate_states(n):
@@ -236,12 +304,12 @@ def breaks_ice_rule(state):
 
 
 def test_column_cache_cannot_hide_corruption():
-    # Warm the column-kind cache with every valid column first, so a
-    # corrupt state can only pass if the cache answers for a column that
-    # was never classified.
+    # Warm the column caches with every valid column first, so a corrupt
+    # state can only pass if a cache answers for a column that was never
+    # classified.
     states = [s for n in (1, 2) for s in enumerate_states(n)]
     for s in states:
-        vertex_census(s)
+        assert state_violations(s) == []
     flips = 0
     for s in states:
         for broken in single_corruptions(s):
@@ -250,13 +318,15 @@ def test_column_cache_cannot_hide_corruption():
             assert breaks_ice_rule(broken)
             with pytest.raises(IceRuleError):
                 vertex_kinds(broken)
-            with pytest.raises(IceRuleError):
-                vertex_census(broken)
+            found = state_violations(broken)
+            assert len(found) == 1 and "breaks the ice rule" in found[0]
             flips += 1
     assert flips == 2 * 7 + 12 * 22
 
 
-def test_state_violations_computes_each_invariant_once(monkeypatch):
+def test_lattice_suite_reads_cached_column_tallies(monkeypatch):
+    # No face grid per state: heights is never called, the left-arrow row
+    # is read once per state, and each distinct column is tallied once.
     calls = Counter()
 
     def counted(name, fn):
@@ -265,15 +335,20 @@ def test_state_violations_computes_each_invariant_once(monkeypatch):
             return fn(state)
         return wrapper
 
-    for name in ("heights", "vertex_census", "left_arrow_row"):
+    for name in ("heights", "left_arrow_row"):
         wrapper = counted(name, getattr(lattice, name))
         monkeypatch.setattr(lattice, name, wrapper)
-        monkeypatch.setattr(verify, name, wrapper)
-    states = list(enumerate_states(3))
-    assert len(states) == 208
-    for state in states:
-        assert state_violations(state) == []
-    assert calls == {"heights": 208, "vertex_census": 208, "left_arrow_row": 208}
+        if hasattr(verify, name):
+            monkeypatch.setattr(verify, name, wrapper)
+    lattice._kinds_tally.cache_clear()
+    reports = lattice_suite(3)
+    tallied = lattice._kinds_tally.cache_info()
+    states = [s for n in (1, 2, 3) for s in enumerate_states(n)]
+    columns = {column for s in states for column in zip(*classified_grid(s))}
+    assert [(r.trials, r.passed) for r in reports] == [(2, True), (12, True), (208, True)]
+    assert (calls["heights"], calls["left_arrow_row"]) == (0, 222)
+    assert tallied.misses == len(columns)
+    assert tallied.hits + tallied.misses == sum(s.n for s in states)
 
 
 def test_count_table_n1_exact():
