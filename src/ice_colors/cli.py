@@ -79,8 +79,13 @@ def _emit(text: str, args: argparse.Namespace) -> bool:
             with open(args.output, "w") as handle:
                 handle.write(text)
         else:
-            sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            # Resend what a short raw write (PYTHONUNBUFFERED) leaves unsent.
             sys.stdout.flush()
+            data = memoryview((text if text.endswith("\n") else text + "\n")
+                              .encode(sys.stdout.encoding))
+            while data:
+                data = data[sys.stdout.buffer.write(data):]
+            sys.stdout.buffer.flush()
     except OSError as err:
         if not args.output:  # so the exit flush cannot fail a second time
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -90,15 +95,10 @@ def _emit(text: str, args: argparse.Namespace) -> bool:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> tuple[str, int]:
-    total = 0
-    dumps = []
-    for state in enumerate_states(args.n):
-        total += 1
-        if args.dump:
-            dumps.append(render_state(state))
-    if args.dump:
-        return "\n".join(dumps) + f"\nstates: {total}", 0
-    return json.dumps({"n": args.n, "states": total}), 0
+    if not args.dump:
+        return json.dumps({"n": args.n, "states": count_table(args.n).total()}), 0
+    dumps = [render_state(state) for state in enumerate_states(args.n)]
+    return "\n".join(dumps) + f"\nstates: {len(dumps)}", 0
 
 
 def _cmd_counts(args: argparse.Namespace) -> tuple[str, int]:

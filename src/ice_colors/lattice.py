@@ -29,6 +29,8 @@ The east arrows of a column agree with the heights carried over from its
 west side exactly when its every vertex obeys the ice rule, and the wall
 column follows from the segment-0 arrows.  So heights exist exactly when
 the ice rule holds everywhere and every turn matches its wall faces.
+``state_violations`` checks one state by these rules, ``enumerate_states``
+lists the states and ``count_table`` counts them without building any.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
+from math import comb
 from typing import Iterator
 
 
@@ -213,6 +216,15 @@ def enumerate_states(n: int) -> Iterator[LatticeState]:
         yield from search(0, wall)
 
 
+def _wall_heights(state: LatticeState) -> list[int]:
+    """Wall face heights, bottom-up, down from the pinned top face (0)
+    through the segment-0 horizontal arrows."""
+    wall = [0] * (2 * state.n + 1)
+    for r in range(2 * state.n - 1, -1, -1):
+        wall[r] = wall[r + 1] - (1 if state.right[r][0] else -1)
+    return wall
+
+
 def heights(state: LatticeState) -> FaceGrid:
     """Face heights by a direct scan, then a check of every constraint.
 
@@ -227,15 +239,12 @@ def heights(state: LatticeState) -> FaceGrid:
     :class:`InconsistentHeightsError`.
     """
     n = state.n
-    rows = 2 * n
 
     def mismatch(face, found, want):
         return InconsistentHeightsError(
             f"face {face} reachable with heights {found} and {want}")
 
-    wall = [0] * (rows + 1)
-    for r in range(rows - 1, -1, -1):
-        wall[r] = wall[r + 1] - (1 if state.right[r][0] else -1)
+    wall = _wall_heights(state)
     grid = []
     for fr, h in enumerate(wall):
         row = [h]
@@ -244,7 +253,7 @@ def heights(state: LatticeState) -> FaceGrid:
             row.append(h)
         grid.append(row)
 
-    for r in range(rows):
+    for r in range(2 * n):
         below, above, arrows = grid[r], grid[r + 1], state.right[r]
         for s in range(1, n + 1):
             want = below[s] + (1 if arrows[s] else -1)
@@ -268,6 +277,40 @@ def left_arrow_row(state: LatticeState) -> int:
             f"expected one left arrow at segment {n - 1}, found rows {hits}"
         )
     return hits[0] + 1
+
+
+def state_violations(state: LatticeState) -> list[str]:
+    """Every exact per-state rule, as human-readable failures or a broken
+    lattice rule's message.  No face grid: heights exist exactly when every
+    vertex obeys the ice rule and each turn matches its wall faces, and then
+    each turn face has its color (module docstring)."""
+    n = state.n
+    shape = [*map(len, state.right), *map(len, state.up), len(state.turn_positive)]
+    if shape != [n + 1] * (2 * n) + [2 * n + 1] * n + [n]:
+        return ["face count"]
+    try:
+        tallies, l = column_tallies(state), left_arrow_row(state)
+    except LatticeError as err:
+        return [str(err)]
+    _, _, b_p, b_m, c_p, c_m = map(sum, zip(*tallies))
+    _, _, last_b_p, last_b_m, last_c_p, last_c_m = tallies[-1]
+    bad = []
+    if b_p != b_m + comb(n + 1, 2):
+        bad.append("b+ / b- census identity")
+    if c_p + 2 * state.turn_positive.count(False) != c_m + n:
+        bad.append("c+ / c- / k- census identity")
+    if last_b_p != n or last_b_m != 0:
+        bad.append("rightmost-column b census")
+    if last_c_p != (1 if l % 2 == 1 else 0):
+        bad.append("rightmost-column c+ count")
+    if last_c_m != (1 if l % 2 == 0 else 0):
+        bad.append("rightmost-column c- count")
+    wall = _wall_heights(state)
+    for i, pos in enumerate(state.turn_positive):
+        inner, step = wall[2 * i + 1], -1 if pos else 1
+        if inner != wall[2 * i] + step or inner != wall[2 * i + 2] + step:
+            bad.append(f"turn {i} heights")
+    return bad
 
 
 @dataclass

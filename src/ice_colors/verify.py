@@ -11,7 +11,8 @@ Four families of checks:
   form over (turns, left-arrow row), both with a free last-column parameter
   and at the quarter point where it collapses onto the determinant route
   through the exact polynomials;
-* exact structural invariants of every enumerated state.
+* exact structural invariants of every enumerated state, each state
+  checked by ``lattice.state_violations``.
 
 Every report carries the worst relative residual over the requested trials
 and a pass flag at the suite's tolerance.
@@ -22,10 +23,10 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, replace
 from math import comb
+from typing import NamedTuple
 
 from .exact import Poly
-from .lattice import (CountTable, LatticeError, column_tallies, count_table,
-                      enumerate_states, left_arrow_row)
+from .lattice import CountTable, count_table, enumerate_states, state_violations
 from .pn import pn_consistent
 from .theta import (OMEGA, TWO_PI_I, ModelParams, ParamSampler,
                     partition_brute, partition_filali, psi_numeric, resample,
@@ -317,8 +318,7 @@ def quarter_point_determinant(n: int, params: ModelParams, pn_poly: Poly) -> com
     return prefactor * t_value * msum
 
 
-@dataclass(frozen=True)
-class SpecializationDraw:
+class SpecializationDraw(NamedTuple):
     generic_column: float
     quarter_point_sum: float
     quarter_point_determinant: float
@@ -353,17 +353,9 @@ def specialization_suite(sampler: ParamSampler, trials: int = 5,
                 return specialization_check(
                     n, sampler.supersymmetric_params(n), table, pn_poly)
 
-            one = resample(draw)
-            worst = SpecializationDraw(
-                max(worst.generic_column, one.generic_column),
-                max(worst.quarter_point_sum, one.quarter_point_sum),
-                max(worst.quarter_point_determinant, one.quarter_point_determinant),
-            )
-        for label, value in (
-            ("grouped_state_sum", worst.generic_column),
-            ("quarter_point_state_sum", worst.quarter_point_sum),
-            ("quarter_point_determinant", worst.quarter_point_determinant),
-        ):
+            worst = SpecializationDraw(*map(max, worst, resample(draw)))
+        for label, value in zip(("grouped_state_sum", "quarter_point_state_sum",
+                                 "quarter_point_determinant"), worst):
             reports.append(IdentityReport(f"{label}_n{n}", trials, value,
                                           value <= DETERMINANT_TOL))
     return reports
@@ -371,45 +363,6 @@ def specialization_suite(sampler: ParamSampler, trials: int = 5,
 
 # ---------------------------------------------------------------------------
 # exact structural invariants of the enumeration
-
-
-def state_violations(state) -> list[str]:
-    """Every exact per-state invariant; returns human-readable failures, or a
-    broken lattice rule's message.  No face grid: heights exist exactly when
-    every vertex obeys the ice rule and each turn matches the wall (``lattice``)."""
-    n = state.n
-    shape = [*map(len, state.right), *map(len, state.up), len(state.turn_positive)]
-    if shape != [n + 1] * (2 * n) + [2 * n + 1] * n + [n]:
-        return ["face count"]
-    try:
-        tallies, l = column_tallies(state), left_arrow_row(state)
-    except LatticeError as err:
-        return [str(err)]
-    _, _, b_p, b_m, c_p, c_m = map(sum, zip(*tallies))
-    _, _, last_b_p, last_b_m, last_c_p, last_c_m = tallies[-1]
-    bad = []
-    if b_p != b_m + comb(n + 1, 2):
-        bad.append("b+ / b- census identity")
-    if c_p + 2 * state.turn_positive.count(False) != c_m + n:
-        bad.append("c+ / c- / k- census identity")
-    if last_b_p != n or last_b_m != 0:
-        bad.append("rightmost-column b census")
-    if last_c_p != (1 if l % 2 == 1 else 0):
-        bad.append("rightmost-column c+ count")
-    if last_c_m != (1 if l % 2 == 0 else 0):
-        bad.append("rightmost-column c- count")
-    if sum(map(sum, tallies)) != 2 * n * n:
-        bad.append("vertex count")
-    wall = [0] * (2 * n + 1)  # wall face heights, bottom-up; the top one is 0
-    for r in range(2 * n - 1, -1, -1):
-        wall[r] = wall[r + 1] - (1 if state.right[r][0] else -1)
-    for i, pos in enumerate(state.turn_positive):
-        inner, step = wall[2 * i + 1], -1 if pos else 1
-        if inner != wall[2 * i] + step or inner != wall[2 * i + 2] + step:
-            bad.append(f"turn {i} heights")
-        if inner % 3 != (2 if pos else 1):
-            bad.append(f"turn {i} face color")
-    return bad
 
 
 def lattice_suite(max_n: int = 3) -> list[IdentityReport]:

@@ -63,6 +63,24 @@ def test_enumerate(capsys):
     assert json.loads(out) == {"n": 2, "states": 12}
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_enumerate_count_matches_state_walk(capsys, n):
+    code, out, _ = run_cli(capsys, "enumerate", "--n", str(n))
+    assert code == 0
+    assert json.loads(out) == {"n": n, "states": sum(1 for _ in enumerate_states(n))}
+
+
+def test_enumerate_walks_states_only_to_dump(capsys, monkeypatch):
+    def no_walk(n):
+        raise AssertionError("state walk")
+
+    monkeypatch.setattr(cli, "enumerate_states", no_walk)
+    code, out, _ = run_cli(capsys, "enumerate", "--n", "5")
+    assert (code, json.loads(out)) == (0, {"n": 5, "states": 1468320})
+    with pytest.raises(AssertionError, match="state walk"):
+        run_cli(capsys, "enumerate", "--n", "1", "--dump")
+
+
 def test_enumerate_dump(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "1", "--dump")
     assert code == 0
@@ -286,10 +304,12 @@ def test_unwritable_output_exits_2(tmp_path, capsys, where):
     assert err.count("\n") == 1
 
 
-def _cli_process(*argv, stdout):
-    # Default stdio buffering: with PYTHONUNBUFFERED the text layer writes
-    # straight to the file and a partial write raises nothing.
+def _cli_process(*argv, stdout, unbuffered=False):
+    # Default stdio buffering unless ``unbuffered``: with PYTHONUNBUFFERED the
+    # text layer writes straight to the file, and a raw write may be short.
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONPATH"] = str(Path(ice_colors.__file__).resolve().parents[1])
     return subprocess.Popen([sys.executable, "-m", "ice_colors.cli", *argv],
                             stdout=stdout, stderr=subprocess.PIPE, text=True,
@@ -300,6 +320,17 @@ def test_stdout_closed_early_exits_2():
     # The n = 5 table is far larger than a pipe holds, so the reader closes
     # its end while the report is still being written.
     with _cli_process("counts", "--n", "5", stdout=subprocess.PIPE) as proc:
+        assert proc.stdout.read(1) == "["
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 2
+        assert proc.stderr.read() == "cannot write stdout: Broken pipe\n"
+
+
+def test_unbuffered_stdout_closed_early_exits_2():
+    # The raw write that the reader's close cuts short returns a count and
+    # raises nothing; the rest of the report must still be sent, and fail.
+    with _cli_process("counts", "--n", "5", stdout=subprocess.PIPE,
+                      unbuffered=True) as proc:
         assert proc.stdout.read(1) == "["
         proc.stdout.close()
         assert proc.wait(timeout=60) == 2

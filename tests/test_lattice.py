@@ -9,8 +9,8 @@ from ice_colors.lattice import (VERTEX_KINDS, CountTable, IceRuleError,
                                 InconsistentHeightsError, LatticeState,
                                 LeftArrowError, column_tallies, count_table,
                                 enumerate_states, heights, left_arrow_row,
-                                render_state, vertex_kinds)
-from ice_colors.verify import lattice_suite, state_violations
+                                render_state, state_violations, vertex_kinds)
+from ice_colors.verify import lattice_suite
 
 from oracles import (all_assignment_states, classified_grid, color_counts,
                      transfer_counts_by_m, vertex_census, vertex_walk_states)

@@ -181,7 +181,7 @@ def exponent_sums(draw):
     return n, sums
 
 
-@settings(max_examples=300)
+@settings(max_examples=300, deadline=None)
 @given(exponent_sums())
 def test_assemble_matches_poly_power_oracle(case):
     # Out-of-range exponents with zero counts give sums that divide exactly;
