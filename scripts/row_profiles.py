@@ -17,6 +17,8 @@ def main():
     parser.add_argument("--n", type=int, default=3)
     args = parser.parse_args()
     n = args.n
+    if n < 1:
+        parser.error("--n must be at least 1")
 
     table = count_table(n)
     grid: Counter = Counter()

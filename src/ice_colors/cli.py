@@ -73,16 +73,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, args: argparse.Namespace) -> bool:
-    """Write the report; False, after one stderr line, if the write fails."""
+    """Write the report, ending in one newline, to ``--output`` or stdout,
+    the same bytes either way; False, after one stderr line, if that fails."""
+    data = memoryview((text if text.endswith("\n") else text + "\n")
+                      .encode(sys.stdout.encoding))
     try:
         if args.output:
-            with open(args.output, "w") as handle:
-                handle.write(text)
+            with open(args.output, "wb") as handle:
+                handle.write(data)
         else:
             # Resend what a short raw write (PYTHONUNBUFFERED) leaves unsent.
             sys.stdout.flush()
-            data = memoryview((text if text.endswith("\n") else text + "\n")
-                              .encode(sys.stdout.encoding))
             while data:
                 data = data[sys.stdout.buffer.write(data):]
             sys.stdout.buffer.flush()

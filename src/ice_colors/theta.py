@@ -41,18 +41,16 @@ def theta(x: complex, p: complex) -> complex:
     ap = abs(p)
     if ap >= 1:
         raise ValueError("the nome must satisfy |p| < 1")
-    bound = max(abs(x), 1 / abs(x), 1.0)
-    terms = 1
-    scale = ap * bound
-    while scale >= _TAIL and terms < _MAX_TERMS:
-        scale *= ap
-        terms += 1
+    scale = ap * max(abs(x), 1 / abs(x), 1.0)
     result = 1 + 0j
     pj = 1 + 0j
     inv_x = 1 / x
-    for _ in range(terms):
+    for _ in range(_MAX_TERMS):
         result *= (1 - pj * x) * (1 - pj * p * inv_x)
         pj *= p
+        if not scale >= _TAIL:  # NaN stops here too
+            break
+        scale *= ap
     return result
 
 
@@ -185,7 +183,7 @@ def partition_brute(n: int, params: ModelParams) -> complex:
     does not depend on the memo.  Only weights that some state uses are
     evaluated, so ``NearSingularError`` is raised exactly when one of them
     is near-singular."""
-    if params.n != n or len(params.mu) != n:
+    if params.n != n:
         raise ValueError("parameter count does not match n")
     factors, states = _brute_skeleton(n)
     weights = [_factor_weight(factor, params) for factor in factors]
@@ -214,7 +212,7 @@ def det_complex(matrix: list[list[complex]]) -> complex:
 
 def partition_filali(n: int, params: ModelParams) -> complex:
     """Determinant formula for the same partition function."""
-    if params.n != n or len(params.mu) != n:
+    if params.n != n:
         raise ValueError("parameter count does not match n")
     br = params.bracket
     lam, mu, rho, zeta = params.lam, params.mu, params.rho, params.zeta

@@ -295,6 +295,19 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())[0]["count"] == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("counts", "--n", "2"),
+    ("counts", "--n", "2", "--format", "csv"),
+    ("pn", "--n", "3"),
+    ("enumerate", "--n", "1", "--dump"),
+], ids=["counts-json", "counts-csv", "pn", "enumerate-dump"])
+def test_output_file_holds_stdout_bytes(tmp_path, capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    target = tmp_path / "report"
+    assert run_cli(capsys, *argv, "--output", str(target)) == (code, "", "")
+    assert target.read_bytes() == out.encode()
+
+
 @pytest.mark.parametrize("where", ["missing_dir", "directory"])
 def test_unwritable_output_exits_2(tmp_path, capsys, where):
     target = tmp_path / "missing" / "x.json" if where == "missing_dir" else tmp_path

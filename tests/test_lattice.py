@@ -6,10 +6,10 @@ import pytest
 
 from ice_colors import lattice, verify
 from ice_colors.lattice import (VERTEX_KINDS, CountTable, IceRuleError,
-                                InconsistentHeightsError, LatticeState,
-                                LeftArrowError, column_tallies, count_table,
-                                enumerate_states, heights, left_arrow_row,
-                                render_state, state_violations, vertex_kinds)
+                                LatticeState, LeftArrowError, column_tallies,
+                                count_table, enumerate_states, heights,
+                                left_arrow_row, render_state, state_violations,
+                                vertex_kinds)
 from ice_colors.verify import lattice_suite
 
 from oracles import (all_assignment_states, classified_grid, color_counts,
@@ -176,6 +176,28 @@ def test_column_ice_rule_is_height_consistency(rows):
     assert cases == {2: 128, 4: 8192}[rows]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_turn_wall_faces_are_its_segment0_arrows(n):
+    # Walk down the wall column from the pinned top face through every
+    # segment-0 pattern.  A turn is one below (positive) or one above
+    # (negative) both wall faces beside it exactly when its lower arrow
+    # points into it and its upper one out of it, or the reverse for a
+    # negative turn; state_violations reads only those two arrows.
+    cases = 0
+    for segment0 in product((False, True), repeat=2 * n):
+        wall = [0] * (2 * n + 1)
+        for r in range(2 * n - 1, -1, -1):
+            wall[r] = wall[r + 1] - (1 if segment0[r] else -1)
+        for i in range(n):
+            for pos in (False, True):
+                inner, step = wall[2 * i + 1], -1 if pos else 1
+                faces = inner == wall[2 * i] + step and inner == wall[2 * i + 2] + step
+                arrows = (segment0[2 * i], segment0[2 * i + 1]) == (not pos, pos)
+                assert faces == arrows, (segment0, i, pos)
+                cases += 1
+    assert cases == {1: 8, 2: 64, 3: 384}[n]
+
+
 def test_rightmost_column_pattern():
     # Given the left-arrow row, the whole last vertex column is forced.
     for n in (1, 2, 3):
@@ -237,36 +259,24 @@ def single_corruptions(s):
         yield LatticeState(n, s.right, s.up, tuple(turns))
 
 
-def test_corrupt_edge_breaks_heights_and_classification():
+def test_corrupt_edge_breaks_classification():
     s = next(iter(enumerate_states(1)))
     flipped_mid = tuple((s.up[0][0], not s.up[0][1], s.up[0][2]))
     broken = LatticeState(1, s.right, (flipped_mid,), s.turn_positive)
-    with pytest.raises(InconsistentHeightsError):
-        heights(broken)
     with pytest.raises(IceRuleError):
         vertex_kinds(broken)
-    # Every constraint family is checked: reversing any single arrow or turn
-    # of any state breaks the heights.
-    cases = 0
-    for n in (1, 2, 3):
-        for state in enumerate_states(n):
-            for broken in single_corruptions(state):
-                with pytest.raises(InconsistentHeightsError):
-                    heights(broken)
-                cases += 1
-    assert cases == 2 * 8 + 12 * 24 + 208 * 48 == 10288
 
 
 def test_state_violations_flags_every_single_corruption():
-    # The same corruptions that test_corrupt_edge_breaks_heights_and_classification
-    # feeds to heights, here without a face grid.
+    # Every constraint family is checked: reversing any single arrow or turn
+    # of any state is flagged, without a face grid.
     cases = 0
     for n in (1, 2, 3):
         for state in enumerate_states(n):
             for broken in single_corruptions(state):
                 assert state_violations(broken), broken
                 cases += 1
-    assert cases == 10288
+    assert cases == 2 * 8 + 12 * 24 + 208 * 48 == 10288
 
 
 def test_state_violations_checks_turns_against_wall():
@@ -282,8 +292,6 @@ def test_state_violations_checks_turns_against_wall():
                 broken = LatticeState(n, state.right, state.up, tuple(swapped))
                 found = state_violations(broken)
                 assert f"turn {i} heights" in found and f"turn {j} heights" in found
-                with pytest.raises(InconsistentHeightsError):
-                    heights(broken)
                 cases += 1
     assert cases == 318
 
