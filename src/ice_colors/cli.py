@@ -108,8 +108,6 @@ def _cmd_counts(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_pn(args: argparse.Namespace) -> tuple[str, int]:
-    if args.n < 1:
-        raise ValueError("pn needs n >= 1")
     poly = pn_consistent(args.n, count_table(args.n))
     variants_checked = [
         f"{v.tag}:m={m}" for v in VARIANTS for m in range(args.n + 1)

@@ -31,7 +31,8 @@ matches its wall faces exactly when its two segment-0 arrows follow its flow.
 So heights exist exactly when both hold everywhere (Lenard's bijection):
 ``state_violations`` judges a state by these rules, and ``heights`` trusts
 it.  ``enumerate_states`` lists the states and ``count_table`` counts them
-without building any.
+without building any, by the row transfer that ``theta.partition_transfer``
+also walks.
 """
 
 from __future__ import annotations
@@ -138,11 +139,6 @@ def column_tallies(state: LatticeState) -> list[tuple[int, ...]]:
     return [_kinds_tally(kinds) for kinds in _kind_columns(state)]
 
 
-def vertex_kinds(state: LatticeState) -> tuple[tuple[str, ...], ...]:
-    """Kind of every vertex, indexed [row][column]."""
-    return tuple(zip(*_kind_columns(state)))
-
-
 # Completions (leaving, other) of a vertex whose entering and side arrows are
 # known, keyed by how many of the two must still point inward.  True is up or
 # right: into the vertex for entering and side arrows, out of it for leaving
@@ -154,8 +150,8 @@ _COMPLETIONS = {
 }
 
 
-def _line_fills(side: tuple[bool, ...], entering: bool, leaving: bool
-                ) -> list[tuple[tuple[bool, ...], tuple[bool, ...]]]:
+def line_fills(side: tuple[bool, ...], entering: bool, leaving: bool
+               ) -> list[tuple[tuple[bool, ...], tuple[bool, ...]]]:
     """Every ice-rule fill of a line of vertices whose ``side`` arrows come
     in from one side: ``(along, other)`` pairs of the arrows along the line,
     from ``entering`` into the first vertex to ``leaving`` out of the last,
@@ -173,23 +169,23 @@ def _line_fills(side: tuple[bool, ...], entering: bool, leaving: bool
 def _column_fills(west: tuple[bool, ...], last: bool
                   ) -> list[tuple[tuple[bool, ...], tuple[bool, ...]]]:
     """Every way to fill one lattice column whose west arrows are ``west``:
-    ``(up, east)`` pairs in ``_line_fills`` order, its vertical edges from
+    ``(up, east)`` pairs in ``line_fills`` order, its vertical edges from
     the bottom one (up) to the top one (down) and its east arrows bottom-up,
     all pointing right in the ``last`` column."""
-    return [fill for fill in _line_fills(west, True, False) if not last or all(fill[1])]
+    return [fill for fill in line_fills(west, True, False) if not last or all(fill[1])]
 
 
 def enumerate_states(n: int) -> Iterator[LatticeState]:
     """Yield every admissible state exactly once, in a fixed order.
 
     A depth-first search fills one lattice column at a time, from the wall
-    rightward, each by a ``_line_fills`` walk up the column; the fills of a
+    rightward, each by a ``line_fills`` walk up the column; the fills of a
     column depend only on its west arrows and on whether it is the last
     column, so they are listed once per call.  The order is the turn signs in
     ``itertools.product`` order, then, column by column and bottom-up within
     a column, each vertex's ``_COMPLETIONS`` in turn, the earliest vertex
-    varying slowest.  ``enumerate --dump`` prints this order and
-    ``theta.partition_brute`` sums in it.
+    varying slowest.  ``enumerate --dump`` prints this order and the
+    lattice verify suite checks each state in it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -307,9 +303,9 @@ class CountTable:
 def _row_fills(below: tuple[bool, ...], w0: bool) -> list[tuple[tuple[bool, ...], bool]]:
     """Every vertex row over the vertical edges ``below`` whose turn-side
     arrow is ``w0`` and whose right-boundary arrow points right, as
-    ``(above, left)`` pairs in ``_line_fills`` order: the vertical edges
+    ``(above, left)`` pairs in ``line_fills`` order: the vertical edges
     above the row, and whether segment ``n-1`` points left."""
-    return [(above, not along[-2]) for along, above in _line_fills(below, w0, True)]
+    return [(above, not along[-2]) for along, above in line_fills(below, w0, True)]
 
 
 def _face_colors(edges: tuple[bool, ...], wall: int) -> tuple[int, int, int]:
@@ -332,7 +328,7 @@ def count_table(n: int) -> CountTable:
     transfer structure is Kuperberg's U-turn/VSASM one (arXiv:math/0008184).
     A face row's colors follow from its vertical edges and its wall face: 0
     on even face rows, -1 or +1 inside a positive or negative turn.  Each
-    lattice row is a ``_line_fills`` walk from the turn rightward, the same
+    lattice row is a ``line_fills`` walk from the turn rightward, the same
     ice-rule fill the state walk runs up each column, memoised per (edges
     below, turn-side arrow).  No state is built; ``enumerate_states`` is the
     per-state reference.

@@ -1,5 +1,5 @@
 """Floating-point theta functions, local weights and the two partition
-function routes (brute-force state sum vs. determinant formula).
+function routes (state sum by row transfer vs. determinant formula).
 
 All spectral/dynamical/boundary parameters are kept as additive exponents;
 powers of q = exp(2*pi*i*eta) are evaluated as exp(2*pi*i*eta*x) directly,
@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from functools import cache, cached_property
 
-from .lattice import enumerate_states, heights, vertex_kinds
+from .lattice import classify_vertex, line_fills
 
 TWO_PI_I = 2j * math.pi
 OMEGA = cmath.exp(TWO_PI_I / 3)
@@ -127,67 +127,47 @@ def turn_weight(kind: str, lam: complex, z: int, params: ModelParams) -> complex
     raise ValueError(f"unknown turn kind {kind!r}")
 
 
-@cache
-def _brute_skeleton(n: int) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
-    """The local-weight factors of the brute state sum, in enumeration order.
+def partition_transfer(n: int, params: ModelParams) -> complex:
+    """State sum of local weights by row transfer, building no state.
 
-    Returns ``(factors, states)``.  ``factors`` lists each distinct local
-    weight in order of first use: ``(row, column, kind, face height)`` for
-    a vertex, ``(turn, positive)`` for a turn.  Each entry of ``states``
-    indexes one state's factors, its vertices row by row and then its
-    turns.  No parameter draw changes either."""
-    factors: dict[tuple, int] = {}
-    states = []
-    for s in enumerate_states(n):
-        grid, kinds = heights(s), vertex_kinds(s)
-        ids = []
-        for r in range(2 * n):
-            z_row = grid[r + 1] if r % 2 == 1 else grid[r]  # upper-/lower-left face
-            for c in range(n):
-                key = (r, c, kinds[r][c], z_row[c])
-                ids.append(factors.setdefault(key, len(factors)))
-        for i, pos in enumerate(s.turn_positive):
-            ids.append(factors.setdefault((i, pos), len(factors)))
-        states.append(tuple(ids))
-    return tuple(factors), tuple(states)
-
-
-def _factor_weight(factor: tuple, params: ModelParams) -> complex:
-    """Value of one ``_brute_skeleton`` factor at a parameter draw."""
-    if len(factor) == 2:
-        i, pos = factor
-        return turn_weight("k+" if pos else "k-", params.lam[i], 0, params)
-    r, c, kind, z = factor
-    if r % 2 == 1:
-        lam_arg = params.lam[r // 2] - params.mu[c]
-    else:
-        lam_arg = params.lam[r // 2] + params.mu[c]
-    return vertex_weight(kind, lam_arg, z, params)
-
-
-def state_weight(ids: tuple[int, ...], weights: list[complex]) -> complex:
-    """Product of one state's local weights, taken in the order of its
-    factor indices."""
-    weight = 1 + 0j
-    for i in ids:
-        weight *= weights[i]
-    return weight
-
-
-def partition_brute(n: int, params: ModelParams) -> complex:
-    """State sum of local weights; exponential in n, intended for n <= 3.
-
-    Each distinct local weight is evaluated once per draw, in order of first
-    use, and every state multiplies its weights in a fixed order (vertices
-    row by row, then turns) and is added in enumeration order, so the sum
-    does not depend on the memo.  Only weights that some state uses are
-    evaluated, so ``NearSingularError`` is raised exactly when one of them
-    is near-singular."""
+    The frontier maps the vertical edges above a double line to the summed
+    weight below them and advances one turn at a time: the turn, its lower
+    row and its upper row, each row a ``line_fills`` walk from the turn
+    rightward (Baxter's SOS transfer matrix; Kuperberg's U-turn structure,
+    arXiv:math/0008184).  A row's vertex heights lie on the even face row
+    beside it, whose wall face is 0: below a lower row, above an upper one.
+    Only weights that some state uses are evaluated, so
+    ``NearSingularError`` is raised exactly when one of them is
+    near-singular."""
     if params.n != n:
         raise ValueError("parameter count does not match n")
-    factors, states = _brute_skeleton(n)
-    weights = [_factor_weight(factor, params) for factor in factors]
-    return sum(state_weight(ids, weights) for ids in states)
+
+    @cache
+    def row(lam: complex, upper: bool, below: tuple[bool, ...], w0: bool
+            ) -> list[tuple[tuple[bool, ...], complex]]:
+        """(above, weight) of each fill of a lower or upper row at ``lam``."""
+        sign = -1 if upper else 1
+        fills = []
+        for along, above in line_fills(below, w0, True):
+            weight, z = 1 + 0j, 0
+            for c, edge in enumerate(above if upper else below):
+                kind = classify_vertex(upper, along[c], along[c + 1], below[c], above[c])
+                weight *= vertex_weight(kind, lam + sign * params.mu[c], z, params)
+                z += -1 if edge else 1
+            fills.append((above, weight))
+        return fills
+
+    frontier = {(True,) * n: 1 + 0j}
+    for lam in params.lam:
+        advanced: dict[tuple[bool, ...], complex] = {}
+        for below, value in frontier.items():
+            for positive in (False, True):
+                turn = value * turn_weight("k+" if positive else "k-", lam, 0, params)
+                for mid, lower in row(lam, False, below, not positive):
+                    for above, upper in row(lam, True, mid, positive):
+                        advanced[above] = advanced.get(above, 0j) + turn * lower * upper
+        frontier = advanced
+    return frontier[(False,) * n]
 
 
 def det_complex(matrix: list[list[complex]]) -> complex:

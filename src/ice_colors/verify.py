@@ -5,8 +5,8 @@ Four families of checks:
 * pointwise theta-function identities (addition rule, quasi-periodicity,
   omega-shift collapse to the cubed nome, the psi and x(z) relations, and
   the bridge from theta quotients to the G kernel);
-* equality of the brute-force state sum with the determinant formula for
-  the partition function at generic parameters;
+* equality of the state sum, summed by row transfer, with the determinant
+  formula for the partition function at generic parameters;
 * the specialized partition function at eta = -2/3: its closed double-sum
   form over (turns, left-arrow row), both with a free last-column parameter
   and at the quarter point where it collapses onto the determinant route
@@ -29,7 +29,7 @@ from .exact import Poly
 from .lattice import CountTable, count_table, enumerate_states, state_violations
 from .pn import pn_consistent
 from .theta import (OMEGA, TWO_PI_I, ModelParams, ParamSampler,
-                    partition_brute, partition_filali, psi_numeric, resample,
+                    partition_filali, partition_transfer, psi_numeric, resample,
                     theta, theta_pm, x_numeric)
 from .tpoly import g_eval
 
@@ -169,7 +169,7 @@ def identity_suite(sampler: ParamSampler, trials: int = 100) -> list[IdentityRep
 
 
 # ---------------------------------------------------------------------------
-# brute force vs determinant formula
+# state sum vs determinant formula
 
 
 def filali_suite(sampler: ParamSampler, trials: int = 20,
@@ -180,7 +180,7 @@ def filali_suite(sampler: ParamSampler, trials: int = 20,
         for _ in range(trials):
             def draw(n=n):
                 params = sampler.params(n)
-                return relerr(partition_brute(n, params), partition_filali(n, params))
+                return relerr(partition_transfer(n, params), partition_filali(n, params))
 
             worst = max(worst, resample(draw))
         reports.append(IdentityReport(f"determinant_formula_n{n}", trials, worst,
@@ -332,12 +332,12 @@ def specialization_check(n: int, params: ModelParams, table: CountTable,
     last one, which stays generic; the quarter-point checks replace it by
     1/4 internally.
     """
-    brute = partition_brute(n, params)
-    generic = relerr(brute, grouped_state_sum(n, params, table))
+    total = partition_transfer(n, params)
+    generic = relerr(total, grouped_state_sum(n, params, table))
     quarter = replace(params, mu=params.mu[:-1] + (0.25 + 0j,))
-    brute_q = partition_brute(n, quarter)
-    qsum = relerr(brute_q, quarter_point_state_sum(n, quarter, table))
-    qdet = relerr(brute_q, quarter_point_determinant(n, quarter, pn_poly))
+    total_q = partition_transfer(n, quarter)
+    qsum = relerr(total_q, quarter_point_state_sum(n, quarter, table))
+    qdet = relerr(total_q, quarter_point_determinant(n, quarter, pn_poly))
     return SpecializationDraw(generic, qsum, qdet)
 
 

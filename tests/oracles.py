@@ -4,14 +4,16 @@ Nothing here reuses the package's enumeration logic: the brute-force oracle
 filters every possible edge assignment, and the transfer oracle marches row
 configurations with its own ice-rule bookkeeping.  Both exist so that bugs
 in the package's state enumeration (``enumerate_states``) and its
-row-transfer counting (``count_table``) cannot hide; those two share one
-ice-rule line fill (``lattice._line_fills``), and nothing here uses it.
+row-transfer counting (``count_table``) cannot hide; those two and the
+row-transfer state sum (``theta.partition_transfer``) share one ice-rule
+line fill (``lattice.line_fills``), and nothing here uses it.
 The vertex walk enumerates one vertex at a time, with its own completions
-table, and pins the order in which ``enumerate_states`` yields states; the
-per-state brute sum classifies every vertex of every walked state and
-multiplies its local weights afresh, apart from the package's column-at-a-time search,
-cached column kinds and per-draw weight memo (``enumerate_states``,
-``vertex_kinds`` and ``theta.partition_brute``).  Likewise the ratio T
+table, and pins the order in which ``enumerate_states`` yields states,
+apart from the package's column-at-a-time search; the per-state brute sum
+classifies every vertex of every walked state and multiplies its local
+weights afresh, state by state, apart from the package's row transfer,
+which weighs each distinct row fill once per draw
+(``theta.partition_transfer``).  Likewise the ratio T
 is evaluated here from its definition at distinct arguments, and its value
 at repeated arguments as a perturbation limit, apart from the package's
 confluent formula (``tpoly.t_at_specialization``).  The count sums and the

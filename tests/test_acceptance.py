@@ -9,7 +9,7 @@ import time
 from ice_colors.lattice import count_table, enumerate_states
 from ice_colors.pn import (VARIANTS, pn_consistent, pn_from_counts,
                            positivity_report, symmetry_check)
-from ice_colors.theta import ParamSampler, partition_brute, partition_filali, resample
+from ice_colors.theta import ParamSampler, partition_filali, partition_transfer, resample
 from ice_colors.tpoly import pn_via_T
 from ice_colors.verify import (identity_suite, relerr, specialization_check,
                                state_violations)
@@ -60,7 +60,7 @@ def test_criterion_4_determinant_formula_agreement():
         for _ in range(20):
             def draw(n=n):
                 params = sampler.params(n)
-                return relerr(partition_brute(n, params),
+                return relerr(partition_transfer(n, params),
                               partition_filali(n, params))
 
             assert resample(draw) <= 1e-8

@@ -8,8 +8,7 @@ from ice_colors import lattice, verify
 from ice_colors.lattice import (VERTEX_KINDS, CountTable, IceRuleError,
                                 LatticeState, LeftArrowError, column_tallies,
                                 count_table, enumerate_states, heights,
-                                left_arrow_row, render_state, state_violations,
-                                vertex_kinds)
+                                left_arrow_row, render_state, state_violations)
 from ice_colors.verify import lattice_suite
 
 from oracles import (all_assignment_states, classified_grid, color_counts,
@@ -202,7 +201,7 @@ def test_rightmost_column_pattern():
     # Given the left-arrow row, the whole last vertex column is forced.
     for n in (1, 2, 3):
         for s in enumerate_states(n):
-            kinds = [row[n - 1] for row in vertex_kinds(s)]
+            kinds = list(lattice._kind_columns(s)[n - 1])
             l = left_arrow_row(s)
             k = (l + 1) // 2
             expected = []
@@ -264,7 +263,7 @@ def test_corrupt_edge_breaks_classification():
     flipped_mid = tuple((s.up[0][0], not s.up[0][1], s.up[0][2]))
     broken = LatticeState(1, s.right, (flipped_mid,), s.turn_positive)
     with pytest.raises(IceRuleError):
-        vertex_kinds(broken)
+        lattice._kind_columns(broken)
 
 
 def test_state_violations_flags_every_single_corruption():
@@ -299,7 +298,7 @@ def test_state_violations_checks_turns_against_wall():
 def test_vertex_kinds_match_per_vertex_classification():
     for n in range(1, 4):
         for s in enumerate_states(n):
-            assert vertex_kinds(s) == classified_grid(s)
+            assert lattice._kind_columns(s) == list(zip(*classified_grid(s)))
 
 
 def breaks_ice_rule(state):
@@ -325,7 +324,7 @@ def test_column_cache_cannot_hide_corruption():
                 continue  # a turn sign is no edge arrow
             assert breaks_ice_rule(broken)
             with pytest.raises(IceRuleError):
-                vertex_kinds(broken)
+                lattice._kind_columns(broken)
             found = state_violations(broken)
             assert len(found) == 1 and "breaks the ice rule" in found[0]
             flips += 1

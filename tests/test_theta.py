@@ -4,10 +4,9 @@ from dataclasses import replace
 
 import pytest
 
-from ice_colors.lattice import heights
 from ice_colors.theta import (ModelParams, NearSingularError, OMEGA,
-                              ParamSampler, det_complex, partition_brute,
-                              partition_filali, resample, theta, turn_weight,
+                              ParamSampler, det_complex, partition_filali,
+                              partition_transfer, resample, theta, turn_weight,
                               vertex_weight)
 from ice_colors.verify import relerr
 
@@ -92,7 +91,7 @@ def test_turn_weight_negative_ignores_height():
     assert turn_weight("k-", lam, 0, params) == turn_weight("k-", lam, 5, params)
 
 
-def test_partition_brute_n1_matches_hand_sum():
+def test_partition_transfer_n1_matches_hand_sum():
     # The two n=1 states written out directly in bracket form.
     s = sampler()
     params = s.params(1)
@@ -104,22 +103,23 @@ def test_partition_brute_n1_matches_hand_sum():
     positive_turn = (br(rho + lam + mu) * br(lam - mu) * br(rho - 1)
                      * br(rho + zeta - lam)
                      / (br(rho) ** 2 * br(1) * br(rho + zeta + lam)))
-    assert relerr(partition_brute(1, params), negative_turn + positive_turn) < 1e-12
+    assert relerr(partition_transfer(1, params), negative_turn + positive_turn) < 1e-12
 
 
-def brute_outcome(total, n, params):
+def sum_outcome(total, n, params):
     try:
         return total(n, params)
     except NearSingularError:
         return "near-singular"
 
 
-def test_partition_brute_bit_identical_to_per_state_oracle():
-    # The memoised sum multiplies the same factors in the same order and
-    # adds the states in the same order, so it is exactly equal, and it
-    # raises on exactly the draws where some used weight is near-singular.
-    # An integer rho puts the zero of [rho + z] on some face height, and
-    # zeta = -lambda_1 that of the k- turn's denominator.
+def test_partition_transfer_matches_per_state_oracle():
+    # The transfer evaluates the local weights of exactly the states' rows,
+    # so it raises on exactly the draws where some used weight is
+    # near-singular, and otherwise agrees with the per-state sum up to the
+    # rounding of a different summation order.  An integer rho puts the
+    # zero of [rho + z] on some face height, and zeta = -lambda_1 that of
+    # the k- turn's denominator.
     s = ParamSampler(7)
     outcomes = []
     for n in (1, 2, 3):
@@ -128,8 +128,12 @@ def test_partition_brute_bit_identical_to_per_state_oracle():
             draws = [params, replace(params, rho=0j), replace(params, rho=-1 + 0j),
                      replace(params, zeta=-params.lam[0])]
             for draw in draws:
-                want = brute_outcome(brute_sum_per_state, n, draw)
-                assert brute_outcome(partition_brute, n, draw) == want
+                want = sum_outcome(brute_sum_per_state, n, draw)
+                got = sum_outcome(partition_transfer, n, draw)
+                if want == "near-singular":
+                    assert got == want
+                else:
+                    assert got != "near-singular" and relerr(got, want) <= 1e-10
                 outcomes.append(want)
     raised = outcomes.count("near-singular")
     assert raised > 0 and len(outcomes) - raised >= 90
@@ -152,7 +156,7 @@ def test_partition_routes_agree():
         for _ in range(3):
             def draw(n=n):
                 params = s.params(n)
-                return relerr(partition_brute(n, params), partition_filali(n, params))
+                return relerr(partition_transfer(n, params), partition_filali(n, params))
 
             assert resample(draw) < 1e-8
 
@@ -165,11 +169,11 @@ def test_partition_symmetric_under_lambda_swap():
         swapped = ModelParams(params.p, params.eta,
                               (params.lam[1], params.lam[0]), params.mu,
                               params.rho, params.zeta)
-        return (relerr(partition_brute(2, params), partition_brute(2, swapped)),
+        return (relerr(partition_transfer(2, params), partition_transfer(2, swapped)),
                 relerr(partition_filali(2, params), partition_filali(2, swapped)))
 
-    brute_gap, det_gap = resample(draw)
-    assert brute_gap < 1e-10
+    sum_gap, det_gap = resample(draw)
+    assert sum_gap < 1e-10
     assert det_gap < 1e-8
 
 
@@ -197,12 +201,12 @@ def test_resample_gives_up():
 def test_mismatched_parameter_count():
     s = sampler()
     with pytest.raises(ValueError):
-        partition_brute(2, s.params(1))
+        partition_transfer(2, s.params(1))
 
 
 def test_bracket_evaluated_once_per_argument(monkeypatch):
-    # One n = 3 state sum takes about 12,000 brackets over 208 states, but
-    # only a few dozen distinct arguments; each is evaluated once per draw.
+    # One n = 3 state sum takes a few hundred local weights, but only a few
+    # dozen distinct bracket arguments; each is evaluated once per draw.
     module = importlib.import_module("ice_colors.theta")
     calls = 0
 
@@ -212,26 +216,8 @@ def test_bracket_evaluated_once_per_argument(monkeypatch):
         return theta(*args, **kwargs)
 
     monkeypatch.setattr(module, "theta", counting)
-    partition_brute(3, sampler().params(3))
+    partition_transfer(3, sampler().params(3))
     assert 0 < calls < 200
-
-
-def test_brute_sum_builds_state_data_once_per_n(monkeypatch):
-    # Heights and vertex kinds depend on the state only, so two n = 3 draws
-    # need at most one pass over the 208 states, not one per draw.
-    module = importlib.import_module("ice_colors.theta")
-    calls = 0
-
-    def counting(state):
-        nonlocal calls
-        calls += 1
-        return heights(state)
-
-    monkeypatch.setattr(module, "heights", counting)
-    s = sampler()
-    partition_brute(3, s.params(3))
-    partition_brute(3, s.params(3))
-    assert calls <= 208
 
 
 def test_model_params_validation():

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import pytest
 
+from ice_colors import lattice, theta
 from ice_colors.lattice import CountTable, count_table
 from ice_colors.pn import pn_consistent
 from ice_colors.theta import ParamSampler, resample
@@ -34,6 +35,25 @@ def test_identity_report_record():
 def test_filali_suite_small():
     reports = filali_suite(ParamSampler(5), trials=3, sizes=(1, 2))
     assert all(r.passed for r in reports)
+
+
+def test_filali_suite_catches_a_missing_row_fill(monkeypatch):
+    # The state sum shares lattice.line_fills with count_table; the
+    # determinant side touches no lattice code, so a lost fill still shows.
+    monkeypatch.setitem(lattice._COMPLETIONS, 1, lattice._COMPLETIONS[1][:1])
+    reports = filali_suite(ParamSampler(0), trials=3)
+    assert [r.passed for r in reports] == [True, False, False]
+
+
+def test_filali_suite_catches_a_wrong_vertex_weight(monkeypatch):
+    exact = theta.vertex_weight
+
+    def scaled(kind, *args):
+        return exact(kind, *args) * (1.001 if kind == "b+" else 1)
+
+    monkeypatch.setattr(theta, "vertex_weight", scaled)
+    reports = filali_suite(ParamSampler(0), trials=3)
+    assert not any(r.passed for r in reports)
 
 
 def test_specialization_check_single_draw():
