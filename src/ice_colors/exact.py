@@ -1,11 +1,13 @@
 """Exact arithmetic substrate: rational polynomial values, fraction-free
 determinants and Newton interpolation.
 
-Rationals are ``fractions.Fraction`` throughout (arbitrary precision,
-canonical form).  A ``Poly`` is a value: a dense coefficient tuple in
-ascending degree with no trailing zeros, compared, hashed and evaluated
-but never combined.  The few sums and products the package needs are
-written over plain ``Fraction`` lists where they happen.
+Rationals are ``fractions.Fraction`` (arbitrary precision, canonical
+form); callers that can work in plain integers do so and make one
+``Fraction`` at the end, as the count sums and the T samples do.  A
+``Poly`` is a value: a dense coefficient tuple in ascending degree with no
+trailing zeros, compared, hashed and evaluated but never combined.  The
+few sums and products the package needs are written over plain ``int`` or
+``Fraction`` lists where they happen.
 """
 
 from __future__ import annotations
@@ -70,18 +72,18 @@ def format_fraction(q: Fraction) -> str:
 def det_exact(matrix: Sequence[Sequence]) -> Fraction:
     """Determinant of a square rational matrix.
 
-    Denominators are cleared first, then the integer matrix goes through
-    fraction-free Bareiss elimination, so no rational arithmetic happens
-    inside the O(k^3) loop.
+    Denominators are cleared first (integer entries pass through as they
+    are), then the integer matrix goes through fraction-free Bareiss
+    elimination, so no rational arithmetic happens inside the O(k^3) loop.
     """
     k = len(matrix)
     if any(len(row) != k for row in matrix):
         raise ValueError("matrix is not square")
     if k == 0:
         return Fraction(1)
-    rows = [[_frac(x) for x in row] for row in matrix]
+    rows = [[x if isinstance(x, int) else _frac(x) for x in row] for row in matrix]
     scale = lcm(*(x.denominator for row in rows for x in row))
-    a = [[int(x * scale) for x in row] for row in rows]
+    a = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
 
     sign = 1
     prev = 1

@@ -147,15 +147,23 @@ def pn_from_counts(table: CountTable, n: int, m: int,
 
 def pn_consistent(n: int, table: CountTable | None = None) -> Poly:
     """The polynomial, computed from every variant/m and from the
-    determinant route, with exact agreement enforced."""
+    determinant route, with exact agreement enforced.
+
+    The table is split by m in one pass, in insertion order, so each
+    variant/m sum reads only its own cells.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if table is None:
         table = count_table(n)
+    by_m = {m: CountTable(table.n, {}) for m in range(n + 1)}
+    for key, cnt in table.counts.items():
+        if key[0] in by_m:
+            by_m[key[0]].counts[key] = cnt
     results: dict[str, Poly] = {}
     for variant in VARIANTS:
         for m in range(n + 1):
-            raw = pn_from_counts(table, n, m, variant)
+            raw = pn_from_counts(by_m[m], n, m, variant)
             binom = variant.binomial(n, m)
             label = f"{variant.tag}:m={m}"
             if binom == 0:

@@ -16,6 +16,22 @@ its Taylor coefficients are read off values on a 3x3 grid, and those of
 G(a,psi) = 2psi^2(psi+1)^2 vanish at no admissible psi, so every
 evaluation is one exact determinant.
 
+Each evaluation runs in integers.  With psi = P/Q in lowest terms and
+a = A/Q, A = 2P + Q, the homogenized kernel ``g_eval(X, Y, P, Q)`` is
+``Q^4 G(X/Q, Y/Q)``, an integer polynomial.  So the grid is read at
+integer points around A, and its quadratic fits halve exactly; this gives
+the integer coefficients g[p][q] of ``Q^4 G(a + U/Q, a + V/Q)`` and g'[p] of
+``Q^4 G(a + U/Q, psi)``.  Their inverse series is carried scaled, as
+``H[i][j] = g00^(i+j+1) [U^i V^j] 1/g`` and ``H'[i] = g'0^(i+1) [U^i] 1/g'``,
+which obey integer recurrences.  Scaling row i of C by ``Q^-i (g00 g'0)^i``,
+column j < n-1 by ``Q^-(4+j) g00^(j+1)`` and the last column by
+``Q^-4 g'0`` makes it the integer matrix M with ``M[i][j] = H[i][j] g'0^i``
+and ``M[i][n-1] = H'[i] g00^i``.  The powers of g00 cancel, and
+
+    T = det M / (g'0^((n-1)(n-2)/2) * Q^(3n(n-1)) * (-(P+Q))^(n-1)),
+
+the one ``Fraction`` of the evaluation.
+
 Dividing by the closed-form prefactor in psi and sampling over rational
 psi-values reconstructs a polynomial p in z = -1/(2*psi+1) of degree n(n-1)
 with constant term 1.
@@ -29,11 +45,17 @@ from fractions import Fraction
 from .exact import Poly, SingularInputError, det_exact, interpolate
 
 
-def g_eval(x, y, psi):
-    """Symmetric coupling kernel; works for Fraction and complex alike."""
+def g_eval(x, y, psi, w=1):
+    """Symmetric coupling kernel; works for Fraction and complex alike.
+
+    ``w`` is a homogenizing weight: ``g_eval(X, Y, P, Q)`` is
+    ``Q^4 * G(X/Q, Y/Q, P/Q)``, an integer at integer arguments.  The
+    default ``w = 1`` gives G itself.
+    """
     s = x + y
-    return ((psi + 2) * x * y * s + psi * (2 * psi + 1) * s
-            - 2 * (psi * psi + 3 * psi + 1) * x * y - psi * (x * x + y * y))
+    return ((psi + 2 * w) * x * y * s + psi * (2 * psi + w) * s * w
+            - 2 * (psi * psi + 3 * psi * w + w * w) * x * y
+            - psi * (x * x + y * y) * w)
 
 
 @dataclass(frozen=True)
@@ -59,39 +81,54 @@ class PsiPoint:
 
 
 def _quadratic(at_minus, at_zero, at_plus) -> tuple:
-    """Coefficients of the quadratic taking these values at -1, 0 and 1."""
-    return (at_zero, (at_plus - at_minus) / 2, (at_plus + at_minus) / 2 - at_zero)
+    """Coefficients of the integer quadratic taking these values at -1, 0
+    and 1; both halvings are exact."""
+    return (at_zero, (at_plus - at_minus) // 2, (at_plus + at_minus) // 2 - at_zero)
 
 
-def _inverse_series(g, rows: int, cols: int) -> list[list[Fraction]]:
-    """``[u^i v^j] 1/g`` for i < rows and j < cols, from the coefficients
-    ``g[p][q] = [u^p v^q] g`` of a polynomial with ``g[0][0] != 0``."""
-    h = [[Fraction(0)] * cols for _ in range(rows)]
+def _inverse_series(g, rows: int, cols: int) -> list[list[int]]:
+    """``g00^(i+j+1) * [u^i v^j] 1/g`` for i < rows and j < cols, from the
+    integer coefficients ``g[p][q] = [u^p v^q] g`` of a polynomial with
+    ``g00 = g[0][0] != 0``.
+
+    The scaling turns the inversion recurrence
+    ``g00 h[i][j] = [i=j=0] - sum g[p][q] h[i-p][j-q]`` into one over
+    integers, ``H[i][j] = [i=j=0] - sum g[p][q] g00^(p+q-1) H[i-p][j-q]``,
+    with the sums over (p, q) != (0, 0).
+    """
+    g00 = g[0][0]
+    terms = [(p, q, c * g00 ** (p + q - 1))
+             for p, row in enumerate(g) for q, c in enumerate(row) if (p or q) and c]
+    h = [[0] * cols for _ in range(rows)]
     for i in range(rows):
         for j in range(cols):
-            acc = Fraction(i == 0 and j == 0)
-            for p in range(min(i, len(g) - 1) + 1):
-                for q in range(min(j, len(g[p]) - 1) + 1):
-                    if p or q:
-                        acc -= g[p][q] * h[i - p][j - q]
-            h[i][j] = acc / g[0][0]
+            acc = int(i == 0 and j == 0)
+            for p, q, c in terms:
+                if p <= i and q <= j:
+                    acc -= c * h[i - p][j - q]
+            h[i][j] = acc
     return h
 
 
 def t_at_specialization(point: PsiPoint, n: int) -> Fraction:
-    """T at 2n-1 copies of 2*psi+1 and a single psi, by the confluent limit."""
-    psi, a = point.psi, point.xi0
+    """T at 2n-1 copies of 2*psi+1 and a single psi, by the confluent limit,
+    in integers up to one final division."""
+    p, q = point.psi.numerator, point.psi.denominator
+    a = 2 * p + q  # 2*psi+1 = a/q
     steps = (-1, 0, 1)
-    # [v^q] G(a+du, a+v) for du = -1, 0, 1, then each fitted in u
-    in_v = [_quadratic(*(g_eval(a + du, a + dv, psi) for dv in steps)) for du in steps]
-    by_q = [_quadratic(*(row[q] for row in in_v)) for q in range(3)]
-    g_aa = [[by_q[q][p] for q in range(3)] for p in range(3)]  # [u^p v^q] G(a+u, a+v)
-    g_apsi = _quadratic(*(g_eval(a + du, psi, psi) for du in steps))  # [u^p] G(a+u, psi)
+    # [V^s] g_eval(a+du, a+V, p, q) for du = -1, 0, 1, then each fitted in du
+    in_v = [_quadratic(*(g_eval(a + du, a + dv, p, q) for dv in steps)) for du in steps]
+    by_s = [_quadratic(*(row[s] for row in in_v)) for s in range(3)]
+    # g_aa[r][s] = [U^r V^s] g_eval(a+U, a+V, p, q), g_apsi[r] = [U^r] g_eval(a+U, p, p, q)
+    g_aa = [[by_s[s][r] for s in range(3)] for r in range(3)]
+    g_apsi = _quadratic(*(g_eval(a + du, p, p, q) for du in steps))
     at_a = _inverse_series(g_aa, n, n - 1)
     at_psi = _inverse_series([[c] for c in g_apsi], n, 1)
-    det = det_exact([row_a + row_psi for row_a, row_psi in zip(at_a, at_psi)])
-    return (g_aa[0][0] ** (n * (n - 1)) * g_apsi[0] ** n * det
-            / (psi - a) ** (n - 1))
+    g00, g0_psi = g_aa[0][0], g_apsi[0]
+    matrix = [[h * g0_psi**i for h in row_a] + [row_psi[0] * g00**i]
+              for i, (row_a, row_psi) in enumerate(zip(at_a, at_psi))]
+    return det_exact(matrix) / (g0_psi ** ((n - 1) * (n - 2) // 2)
+                                * q ** (3 * n * (n - 1)) * (-(p + q)) ** (n - 1))
 
 
 def _prefactor(point: PsiPoint, n: int) -> Fraction:

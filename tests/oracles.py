@@ -250,14 +250,23 @@ def t_distinct(xs, psi) -> Fraction:
 
 def t_perturbation_limit(targets, psi) -> Fraction:
     """T at possibly repeated arguments: sample T along x_i = target_i + i*t
-    at t = 1..2n(n-1)+1 (T has degree at most 2n(n-1) in t) and evaluate
-    the Lagrange interpolant at t = 0."""
+    at the first 2n(n-1)+1 positive integers t where the definition has no
+    zero denominator (T has degree at most 2n(n-1) in t), and evaluate the
+    Lagrange interpolant at t = 0.  At an admissible psi, no G and no
+    argument difference vanishes identically in t, so only finitely many t
+    are skipped."""
     n = len(targets) // 2
-    nodes = range(1, 2 * n * (n - 1) + 2)
+    values: dict[int, Fraction] = {}
+    t = 0
+    while len(values) < 2 * n * (n - 1) + 1:
+        t += 1
+        try:
+            values[t] = t_distinct([x + i * t for i, x in enumerate(targets, 1)], psi)
+        except ZeroDivisionError:
+            continue
     total = Fraction(0)
-    for t in nodes:
-        value = t_distinct([x + i * t for i, x in enumerate(targets, 1)], psi)
-        total += value * prod((Fraction(s, s - t) for s in nodes if s != t),
+    for t, value in values.items():
+        total += value * prod((Fraction(s, s - t) for s in values if s != t),
                               start=Fraction(1))
     return total
 

@@ -1,6 +1,7 @@
 import subprocess
 import sys
 from fractions import Fraction
+from hashlib import sha256
 from math import factorial, prod
 from pathlib import Path
 
@@ -110,6 +111,28 @@ def test_determinant_route_frozen_n6_n7():
     assert pn_via_T(7) == P7
 
 
+# Determinant route only: the count route does not confirm p_8 and above
+# yet.  sha256 of the space-joined integer coefficients of pn_via_T(n), as
+# computed by an all-Fraction evaluation of the same confluent formula.
+DETERMINANT_ROUTE_ONLY_SHA256 = {
+    8: "ffc710d3b9f088bdf808481247d5f9bd413e9993ba118fe6c5d686016aba5c48",
+    9: "51ac6f1ec2ebcfa1291a0cc7f70101581205f1b2fd4da23c302cd2535117a831",
+    10: "7a831a61e441c95a5d7f7bddc04d542199a80ebd1ac392c23fb0d15d08bbf39c",
+    11: "2a2093fe217cf8f9f161dac8f1e43c7d2a42cb49a4f5a9f16003ed60211ff44c",
+    12: "194b32cab9f585402b43b6d3e34a2a8e17e31603e50def17092f08b42a6de677",
+}
+
+
+def test_determinant_route_only_n8_to_n12():
+    for n, digest in DETERMINANT_ROUTE_ONLY_SHA256.items():
+        poly = pn_via_T(n)
+        assert poly.degree == n * (n - 1)
+        assert all(c.denominator == 1 for c in poly.coeffs)
+        text = " ".join(str(c.numerator) for c in poly.coeffs)
+        assert sha256(text.encode()).hexdigest() == digest, n
+    assert pn_via_T(8).coeffs[-1] == 323674802088
+
+
 def test_pn_consistent_frozen_n6():
     assert pn_consistent(6) == P6
 
@@ -147,6 +170,24 @@ def test_corrupt_counts_detected():
     bad[key] += 1
     with pytest.raises(ConsistencyError):
         pn_consistent(2, CountTable(2, bad))
+
+
+def test_first_consistency_error_follows_variant_then_m():
+    # Bad cells under two values of m.  Too many color-1 faces at m=1 break
+    # only variant B's sum; color-0 counts out of range at m=2 break only
+    # variant A's, the larger one inserted first.  Sums run variant by
+    # variant, m inside, cells in insertion order, so A at m=2 fails first
+    # and names the first bad exponent it meets.
+    bad = dict(count_table(3).counts)
+    bad[(1, 4, 11, 40, 7)] = 1
+    bad[(2, 5, 40, 10, 8)] = 1
+    bad[(2, 5, 0, 10, 8)] = 1
+    with pytest.raises(ConsistencyError) as info:
+        pn_consistent(3, CountTable(3, bad))
+    assert str(info.value) == "variant A, m=2: sum does not reduce to a polynomial"
+    assert str(info.value.__cause__) == "exponent 32 outside [0, 6/2] has a nonzero count"
+    with pytest.raises(ConsistencyError, match="variant B, m=1: sum does not reduce"):
+        pn_from_counts(CountTable(3, bad), 3, 1, VARIANT_B)
 
 
 def test_non_polynomial_sum_rejected():

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ice_colors.tpoly import PsiPoint, g_eval, pn_via_T, t_at_specialization
@@ -21,6 +21,13 @@ def test_g_symmetric(x, y, psi):
 @given(fractions, fractions)
 def test_g_at_psi_zero(x, y):
     assert g_eval(x, y, Fraction(0)) == 2 * x * y * (x + y - 1)
+
+
+@settings(max_examples=50)
+@given(fractions, fractions, fractions, st.integers(1, 12))
+def test_g_homogenized(x, y, psi, w):
+    # g_eval(X, Y, P, Q) = Q^4 G(X/Q, Y/Q, P/Q)
+    assert g_eval(x * w, y * w, psi * w, w) == w**4 * g_eval(x, y, psi)
 
 
 def test_g_vanishing_point():
@@ -60,13 +67,30 @@ def test_coalesced_n1_is_one():
 
 
 def test_specialization_matches_perturbation_oracle():
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 5):
         for z in (Fraction(2), Fraction(3), Fraction(7, 3), Fraction(-5, 2),
                   Fraction(1, 4)):
             point = PsiPoint.from_z(z)
             targets = [point.xi0] * (2 * n - 1) + [point.psi]
             assert (t_at_specialization(point, n)
                     == t_perturbation_limit(targets, point.psi)), (n, z)
+
+
+admissible_psi = st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(
+    lambda psi: psi not in (0, -1, Fraction(-1, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(admissible_psi, st.integers(1, 3))
+@example(Fraction(-7, 12), 3)
+@example(Fraction(-11, 4), 3)
+@example(Fraction(5, 11), 2)
+def test_specialization_matches_perturbation_oracle_at_drawn_psi(psi, n):
+    # The integer evaluation scales by powers of psi's numerator and
+    # denominator; negative and fractional psi exercise their signs.
+    point = PsiPoint(psi)
+    targets = [point.xi0] * (2 * n - 1) + [psi]
+    assert t_at_specialization(point, n) == t_perturbation_limit(targets, psi)
 
 
 @settings(max_examples=30)
