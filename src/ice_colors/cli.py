@@ -78,7 +78,7 @@ def _emit(text: str, args: argparse.Namespace) -> bool:
     data = memoryview((text if text.endswith("\n") else text + "\n")
                       .encode(sys.stdout.encoding))
     try:
-        if args.output:
+        if args.output is not None:  # an empty path is a path too
             with open(args.output, "wb") as handle:
                 handle.write(data)
         else:
@@ -88,9 +88,10 @@ def _emit(text: str, args: argparse.Namespace) -> bool:
                 data = data[sys.stdout.buffer.write(data):]
             sys.stdout.buffer.flush()
     except OSError as err:
-        if not args.output:  # so the exit flush cannot fail a second time
+        if args.output is None:  # so the exit flush cannot fail a second time
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"cannot write {args.output or 'stdout'}: {err.strerror}", file=sys.stderr)
+        where = "stdout" if args.output is None else args.output
+        print(f"cannot write {where}: {err.strerror}", file=sys.stderr)
         return False
     return True
 

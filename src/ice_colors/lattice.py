@@ -30,9 +30,9 @@ west side exactly when its every vertex obeys the ice rule, and a turn
 matches its wall faces exactly when its two segment-0 arrows follow its flow.
 So heights exist exactly when both hold everywhere (Lenard's bijection):
 ``state_violations`` judges a state by these rules, and ``heights`` trusts
-it.  ``enumerate_states`` lists the states and ``count_table`` counts them
-without building any, by the row transfer that ``theta.partition_transfer``
-also walks.
+it.  ``enumerate_states`` lists the states.  ``row_transfer`` is the one
+sum over them, a double line at a time and building none: ``count_table``
+counts them by it, and ``theta.partition_transfer`` sums their weights.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
@@ -95,6 +95,7 @@ class LatticeState:
 
 CountKey = tuple[int, int, int, int, int]  # (m, l, k0, k1, k2)
 FaceGrid = tuple[tuple[int, ...], ...]  # face rows bottom-up, columns from the wall
+LineFill = tuple[tuple[bool, ...], tuple[bool, ...]]  # (along, other) of one line
 
 
 def classify_vertex(upper: bool, w_right: bool, e_right: bool,
@@ -150,8 +151,7 @@ _COMPLETIONS = {
 }
 
 
-def line_fills(side: tuple[bool, ...], entering: bool, leaving: bool
-               ) -> list[tuple[tuple[bool, ...], tuple[bool, ...]]]:
+def line_fills(side: tuple[bool, ...], entering: bool, leaving: bool) -> list[LineFill]:
     """Every ice-rule fill of a line of vertices whose ``side`` arrows come
     in from one side: ``(along, other)`` pairs of the arrows along the line,
     from ``entering`` into the first vertex to ``leaving`` out of the last,
@@ -166,8 +166,7 @@ def line_fills(side: tuple[bool, ...], entering: bool, leaving: bool
     return [fill for fill in fills if fill[0][-1] == leaving]
 
 
-def _column_fills(west: tuple[bool, ...], last: bool
-                  ) -> list[tuple[tuple[bool, ...], tuple[bool, ...]]]:
+def _column_fills(west: tuple[bool, ...], last: bool) -> list[LineFill]:
     """Every way to fill one lattice column whose west arrows are ``west``:
     ``(up, east)`` pairs in ``line_fills`` order, its vertical edges from
     the bottom one (up) to the top one (down) and its east arrows bottom-up,
@@ -300,12 +299,32 @@ class CountTable:
         return buf.getvalue()
 
 
-def _row_fills(below: tuple[bool, ...], w0: bool) -> list[tuple[tuple[bool, ...], bool]]:
-    """Every vertex row over the vertical edges ``below`` whose turn-side
-    arrow is ``w0`` and whose right-boundary arrow points right, as
-    ``(above, left)`` pairs in ``line_fills`` order: the vertical edges
-    above the row, and whether segment ``n-1`` points left."""
-    return [(above, not along[-2]) for along, above in line_fills(below, w0, True)]
+def double_line_fills(below: tuple[bool, ...]) -> list[tuple[bool, LineFill, LineFill]]:
+    """Every fill of one double line over the vertical edges ``below``, as
+    ``(positive, lower, upper)``: its turn's sign and its two rows' ``(along,
+    above)`` fills by ``line_fills`` from the turn to the right boundary,
+    which points right.  A positive turn takes the flow in on the lower row."""
+    return [(positive, lower, upper)
+            for positive in (False, True)
+            for lower in line_fills(below, not positive, True)
+            for upper in line_fills(lower[1], positive, True)]
+
+
+def row_transfer(n: int, start, step, add):
+    """Fold the states' double lines bottom-up, building no state: Kuperberg's
+    U-turn transfer (arXiv:math/0008184).  The frontier maps vertical edges
+    to a value, ``start`` on the all-up bottom edges.  ``step(i, below)``
+    gives double line ``i``'s ``(above, factor)`` pairs, and ``add(acc,
+    value, factor)`` folds one into ``acc``, the value at ``above`` so far
+    (``None`` at first).  Returns the value at the all-down top edges."""
+    frontier = {(True,) * n: start}
+    for i in range(n):
+        advanced: dict = {}
+        for below, value in frontier.items():
+            for above, factor in step(i, below):
+                advanced[above] = add(advanced.get(above), value, factor)
+        frontier = advanced
+    return frontier[(False,) * n]
 
 
 def _face_colors(edges: tuple[bool, ...], wall: int) -> tuple[int, int, int]:
@@ -321,58 +340,46 @@ def _face_colors(edges: tuple[bool, ...], wall: int) -> tuple[int, int, int]:
 
 
 def count_table(n: int) -> CountTable:
-    """Count the states in every (m, l, k0, k1, k2) cell by row transfer.
+    """Count the states in every (m, l, k0, k1, k2) cell by ``row_transfer``.
 
-    The frontier maps (vertical edges, m, l, k0, k1, k2) to a state count and
-    advances one turn (a lower and an upper lattice row) at a time; the
-    transfer structure is Kuperberg's U-turn/VSASM one (arXiv:math/0008184).
-    A face row's colors follow from its vertical edges and its wall face: 0
-    on even face rows, -1 or +1 inside a positive or negative turn.  Each
-    lattice row is a ``line_fills`` walk from the turn rightward, the same
-    ice-rule fill the state walk runs up each column, memoised per (edges
-    below, turn-side arrow).  No state is built; ``enumerate_states`` is the
-    per-state reference.
+    A frontier value is a ``Counter`` of cells, with ``l = 0`` until the
+    left arrow (segment ``n-1`` pointing left) is met.  A face row's colors
+    follow from its vertical edges and its wall face: 0 on even face rows,
+    -1 or +1 inside a positive or negative turn.  ``step`` tallies a double
+    line's ``(dm, left rows, dk0, dk1, dk2)`` once per (edges below, edges
+    above), and ``add`` shifts the cells by it.  No state is built;
+    ``enumerate_states`` is the per-state reference.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    fill = cache(_row_fills)  # memos live for this call only
-    face_colors = cache(_face_colors)
+    face_colors = cache(_face_colors)  # memos live for this call only
 
-    def left_row(l, left, row):
-        if not left:
-            return l
-        if l is not None:
-            raise LeftArrowError(
-                f"left arrows at segment {n - 1} in rows {l} and {row}")
-        return row
+    def step(i: int, below: tuple[bool, ...]):
+        tallies: defaultdict[tuple[bool, ...], Counter] = defaultdict(Counter)
+        for positive, (lower, mid), (upper, above) in double_line_fills(below):
+            lefts = tuple(row for row, along in ((2 * i + 1, lower), (2 * i + 2, upper))
+                          if not along[-2])
+            a0, a1, a2 = face_colors(mid, -1 if positive else 1)
+            b0, b1, b2 = face_colors(above, 0)
+            tallies[above][positive, lefts, a0 + b0, a1 + b1, a2 + b2] += 1
+        return tallies.items()
 
-    bottom = (True,) * n
-    frontier = Counter({(bottom, 0, None, *_face_colors(bottom, 0)): 1})
-    for i in range(n):
-        advanced: Counter = Counter()
-        for (below, m, l, k0, k1, k2), cnt in frontier.items():
-            for positive in (False, True):
-                turn_face = -1 if positive else 1
-                for mid, left_lower in fill(below, not positive):
-                    l_mid = left_row(l, left_lower, 2 * i + 1)
-                    a0, a1, a2 = face_colors(mid, turn_face)
-                    for above, left_upper in fill(mid, positive):
-                        b0, b1, b2 = face_colors(above, 0)
-                        key = (above, m + positive,
-                               left_row(l_mid, left_upper, 2 * i + 2),
-                               k0 + a0 + b0, k1 + a1 + b1, k2 + a2 + b2)
-                        advanced[key] += cnt
-        frontier = advanced
+    def add(acc: Counter | None, cells: Counter, tally: Counter) -> Counter:
+        acc = Counter() if acc is None else acc
+        met = any(l for _m, l, *_ks in cells)  # some state below has its left arrow
+        for (dm, lefts, d0, d1, d2), ways in tally.items():
+            if len(lefts) > 1 or lefts and met:
+                raise LeftArrowError(f"two left arrows at segment {n - 1} in one state")
+            row = sum(lefts)
+            for (m, l, k0, k1, k2), cnt in cells.items():
+                acc[m + dm, l + row, k0 + d0, k1 + d1, k2 + d2] += cnt * ways
+        return acc
 
-    top = (False,) * n
-    total: Counter = Counter()
-    for (edges, m, l, k0, k1, k2), cnt in frontier.items():
-        if edges != top:
-            continue
-        if l is None:
-            raise LeftArrowError(f"a state has no left arrow at segment {n - 1}")
-        total[(m, l, k0, k1, k2)] += cnt
-    return CountTable(n, dict(total))
+    bottom = Counter({(0, 0, *_face_colors((True,) * n, 0)): 1})
+    top = row_transfer(n, bottom, step, add)
+    if any(l == 0 for _m, l, *_ks in top):
+        raise LeftArrowError(f"a state has no left arrow at segment {n - 1}")
+    return CountTable(n, dict(top))
 
 
 def render_state(state: LatticeState) -> str:

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from functools import cache, cached_property
 
-from .lattice import classify_vertex, line_fills
+from .lattice import classify_vertex, double_line_fills, row_transfer
 
 TWO_PI_I = 2j * math.pi
 OMEGA = cmath.exp(TWO_PI_I / 3)
@@ -128,46 +128,40 @@ def turn_weight(kind: str, lam: complex, z: int, params: ModelParams) -> complex
 
 
 def partition_transfer(n: int, params: ModelParams) -> complex:
-    """State sum of local weights by row transfer, building no state.
-
-    The frontier maps the vertical edges above a double line to the summed
-    weight below them and advances one turn at a time: the turn, its lower
-    row and its upper row, each row a ``line_fills`` walk from the turn
-    rightward (Baxter's SOS transfer matrix; Kuperberg's U-turn structure,
-    arXiv:math/0008184).  A row's vertex heights lie on the even face row
-    beside it, whose wall face is 0: below a lower row, above an upper one.
-    Only weights that some state uses are evaluated, so
-    ``NearSingularError`` is raised exactly when one of them is
-    near-singular."""
+    """State sum of local weights by ``lattice.row_transfer`` (Baxter's SOS
+    transfer matrix), building no state.  A frontier value is the summed
+    weight below its vertical edges; ``step`` sums turn x lower row x upper
+    row per edges above, a row's weight cached per (lam, upper, along,
+    below, above).  A row's vertex heights lie on the even face row beside
+    it, whose wall face is 0: below a lower row, above an upper one.  Only
+    weights that some state uses are evaluated, so ``NearSingularError`` is
+    raised exactly when one of them is near-singular."""
     if params.n != n:
         raise ValueError("parameter count does not match n")
 
     @cache
-    def row(lam: complex, upper: bool, below: tuple[bool, ...], w0: bool
-            ) -> list[tuple[tuple[bool, ...], complex]]:
-        """(above, weight) of each fill of a lower or upper row at ``lam``."""
+    def row(lam: complex, upper: bool, along: tuple[bool, ...],
+            below: tuple[bool, ...], above: tuple[bool, ...]) -> complex:
+        """Weight of one lower or upper row fill at ``lam``."""
         sign = -1 if upper else 1
-        fills = []
-        for along, above in line_fills(below, w0, True):
-            weight, z = 1 + 0j, 0
-            for c, edge in enumerate(above if upper else below):
-                kind = classify_vertex(upper, along[c], along[c + 1], below[c], above[c])
-                weight *= vertex_weight(kind, lam + sign * params.mu[c], z, params)
-                z += -1 if edge else 1
-            fills.append((above, weight))
-        return fills
+        weight, z = 1 + 0j, 0
+        for c, edge in enumerate(above if upper else below):
+            kind = classify_vertex(upper, along[c], along[c + 1], below[c], above[c])
+            weight *= vertex_weight(kind, lam + sign * params.mu[c], z, params)
+            z += -1 if edge else 1
+        return weight
 
-    frontier = {(True,) * n: 1 + 0j}
-    for lam in params.lam:
-        advanced: dict[tuple[bool, ...], complex] = {}
-        for below, value in frontier.items():
-            for positive in (False, True):
-                turn = value * turn_weight("k+" if positive else "k-", lam, 0, params)
-                for mid, lower in row(lam, False, below, not positive):
-                    for above, upper in row(lam, True, mid, positive):
-                        advanced[above] = advanced.get(above, 0j) + turn * lower * upper
-        frontier = advanced
-    return frontier[(False,) * n]
+    def step(i: int, below: tuple[bool, ...]):
+        lam = params.lam[i]
+        turns = [turn_weight(kind, lam, 0, params) for kind in ("k-", "k+")]
+        sums: dict[tuple[bool, ...], complex] = {}
+        for positive, (lower, mid), (upper, above) in double_line_fills(below):
+            weight = (turns[positive] * row(lam, False, lower, below, mid)
+                      * row(lam, True, upper, mid, above))
+            sums[above] = sums.get(above, 0j) + weight
+        return sums.items()
+
+    return row_transfer(n, 1 + 0j, step, lambda acc, value, w: (acc or 0) + value * w)
 
 
 def det_complex(matrix: list[list[complex]]) -> complex:

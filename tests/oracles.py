@@ -6,7 +6,9 @@ configurations with its own ice-rule bookkeeping.  Both exist so that bugs
 in the package's state enumeration (``enumerate_states``) and its
 row-transfer counting (``count_table``) cannot hide; those two and the
 row-transfer state sum (``theta.partition_transfer``) share one ice-rule
-line fill (``lattice.line_fills``), and nothing here uses it.
+line fill (``lattice.line_fills``), and the last two also share one
+double-line fill (``lattice.double_line_fills``) and one frontier loop
+(``lattice.row_transfer``); nothing here uses any of the three.
 The vertex walk enumerates one vertex at a time, with its own completions
 table, and pins the order in which ``enumerate_states`` yields states,
 apart from the package's column-at-a-time search; the per-state brute sum

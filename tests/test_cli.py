@@ -328,6 +328,15 @@ def test_unwritable_output_exits_2(tmp_path, capsys, where):
     assert err.count("\n") == 1
 
 
+def test_empty_output_path_exits_2(capsys):
+    # An empty --output is a path that cannot be opened, not a request for
+    # stdout.
+    code, out, err = run_cli(capsys, "pn", "--n", "2", "--output", "")
+    assert (code, out) == (2, "")
+    assert err.startswith("cannot write : ")
+    assert err.count("\n") == 1
+
+
 def _cli_process(*argv, stdout, unbuffered=False):
     # Default stdio buffering unless ``unbuffered``: with PYTHONUNBUFFERED the
     # text layer writes straight to the file, and a raw write may be short.

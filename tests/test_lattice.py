@@ -383,7 +383,7 @@ def test_count_table_matches_per_state_reference():
 
 
 def test_count_table_m_marginals_match_transfer_oracle():
-    for n in range(1, 6):
+    for n in range(1, 7):
         by_m = Counter()
         for (m, _l, _k0, _k1, _k2), cnt in count_table(n).counts.items():
             by_m[m] += cnt
@@ -396,16 +396,31 @@ def test_count_table_n5_totals():
     assert len(table.counts) == 2506
 
 
+def test_count_table_n6_totals():
+    table = count_table(6)
+    assert table.total() == 595497600
+    assert len(table.counts) == 7866
+
+
+def with_left_arrows(row, left):
+    """A row fill ``(along, above)`` with segment n-1 pointing left or not."""
+    along, above = row
+    return (*along[:-2], not left, along[-1]), above
+
+
 def test_count_table_left_arrow_errors(monkeypatch):
-    fills = lattice._row_fills
-    monkeypatch.setattr(lattice, "_row_fills", lambda below, w0: [
-        (above, True) for above, _left in fills(below, w0)])
-    with pytest.raises(LeftArrowError):
-        count_table(2)
-    monkeypatch.setattr(lattice, "_row_fills", lambda below, w0: [
-        (above, False) for above, _left in fills(below, w0)])
-    with pytest.raises(LeftArrowError):
-        count_table(2)
+    fills = lattice.double_line_fills
+    for n, lower_left, upper_left in [
+        (1, True, True),    # both rows of the one double line
+        (2, True, False),   # one in each of the two double lines
+        (2, False, False),  # none at all
+    ]:
+        monkeypatch.setattr(lattice, "double_line_fills", lambda below: [
+            (positive, with_left_arrows(lower, lower_left),
+             with_left_arrows(upper, upper_left))
+            for positive, lower, upper in fills(below)])
+        with pytest.raises(LeftArrowError):
+            count_table(n)
 
 
 def test_count_table_serialization_round_trip():

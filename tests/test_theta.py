@@ -119,11 +119,12 @@ def test_partition_transfer_matches_per_state_oracle():
     # near-singular, and otherwise agrees with the per-state sum up to the
     # rounding of a different summation order.  An integer rho puts the
     # zero of [rho + z] on some face height, and zeta = -lambda_1 that of
-    # the k- turn's denominator.
+    # the k- turn's denominator.  Each line is summed per (below, above)
+    # before the product with the frontier value, so n = 4 gets two draws.
     s = ParamSampler(7)
     outcomes = []
-    for n in (1, 2, 3):
-        for _ in range(30):
+    for n, count in ((1, 30), (2, 30), (3, 30), (4, 2)):
+        for _ in range(count):
             params = s.params(n)
             draws = [params, replace(params, rho=0j), replace(params, rho=-1 + 0j),
                      replace(params, zeta=-params.lam[0])]

@@ -38,8 +38,9 @@ def test_filali_suite_small():
 
 
 def test_filali_suite_catches_a_missing_row_fill(monkeypatch):
-    # The state sum shares lattice.line_fills with count_table; the
-    # determinant side touches no lattice code, so a lost fill still shows.
+    # The state sum shares lattice.row_transfer and its line fills with
+    # count_table; the determinant side touches no lattice code, so a lost
+    # fill still shows.
     monkeypatch.setitem(lattice._COMPLETIONS, 1, lattice._COMPLETIONS[1][:1])
     reports = filali_suite(ParamSampler(0), trials=3)
     assert [r.passed for r in reports] == [True, False, False]
