@@ -24,9 +24,6 @@ from .exact import SingularInputError, format_fraction
 from .lattice import count_table, enumerate_states, render_state
 from .pn import (VARIANTS, ConsistencyError, pn_consistent, positivity_report,
                  symmetry_check)
-from .theta import ParamSampler
-from .verify import (filali_suite, identity_suite, lattice_suite,
-                     specialization_suite)
 
 SUITES = ("lattice", "theta", "filali", "specialization", "all")
 
@@ -127,6 +124,11 @@ def _cmd_pn(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
+    # Only verify needs the numeric layer, so no other command compiles it.
+    from .theta import ParamSampler
+    from .verify import (filali_suite, identity_suite, lattice_suite,
+                         specialization_suite)
+
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
     if args.suite in ("lattice", "all") and args.n < 1:

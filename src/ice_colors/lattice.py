@@ -110,34 +110,18 @@ def classify_vertex(upper: bool, w_right: bool, e_right: bool,
 
 
 @cache
-def _column_kinds(west: tuple[bool, ...], east: tuple[bool, ...],
-                  up: tuple[bool, ...]) -> tuple[str, ...]:
-    """Kinds of one vertex column, bottom-up, from the horizontal arrows on
-    its west and east sides and its vertical edges.
+def _column_tally(west: tuple[bool, ...], east: tuple[bool, ...],
+                  up: tuple[bool, ...]) -> tuple[int, ...]:
+    """Vertex count per kind, in ``VERTEX_KINDS`` order, of one vertex
+    column from the horizontal arrows on its west and east sides and its
+    vertical edges; raises :class:`IceRuleError` where a vertex breaks the
+    ice rule.
 
-    Cached for the process: a column's kinds depend on its arrows only.  A
+    Cached for the process: a column's tally depends on its arrows only.  A
     column that breaks the ice rule raises and so is never cached."""
-    return tuple(classify_vertex(r % 2 == 1, west[r], east[r], up[r], up[r + 1])
-                 for r in range(len(west)))
-
-
-def _kind_columns(state: LatticeState) -> list[tuple[str, ...]]:
-    """Kind of every vertex, indexed [column][row]."""
-    segments = tuple(zip(*state.right))  # horizontal arrows per segment, bottom-up
-    return [_column_kinds(segments[c], segments[c + 1], state.up[c])
-            for c in range(state.n)]
-
-
-@cache
-def _kinds_tally(kinds: tuple[str, ...]) -> tuple[int, ...]:
+    kinds = [classify_vertex(r % 2 == 1, west[r], east[r], up[r], up[r + 1])
+             for r in range(len(west))]
     return tuple(map(kinds.count, VERTEX_KINDS))
-
-
-def column_tallies(state: LatticeState) -> list[tuple[int, ...]]:
-    """Vertex count per kind, in ``VERTEX_KINDS`` order, of each column from
-    the wall, tallied once per distinct column; raises :class:`IceRuleError`
-    where a vertex breaks the ice rule."""
-    return [_kinds_tally(kinds) for kinds in _kind_columns(state)]
 
 
 # Completions (leaving, other) of a vertex whose entering and side arrows are
@@ -230,30 +214,26 @@ def heights(state: LatticeState) -> FaceGrid:
     return tuple(grid)
 
 
-def left_arrow_row(state: LatticeState) -> int:
-    """Row (1-based from below) of the unique left arrow at segment n-1."""
-    n = state.n
-    hits = [r for r in range(2 * n) if not state.right[r][n - 1]]
-    if len(hits) != 1:
-        raise LeftArrowError(
-            f"expected one left arrow at segment {n - 1}, found rows {hits}"
-        )
-    return hits[0] + 1
-
-
 def state_violations(state: LatticeState) -> list[str]:
     """Every exact per-state rule, as human-readable failures or a broken
     lattice rule's message.  No face grid: heights exist exactly when every
     vertex obeys the ice rule and each turn's segment-0 arrows follow its
-    flow, and then each turn face has its color (module docstring)."""
+    flow, and then each turn face has its color (module docstring).  Each
+    column is tallied once per distinct column by ``_column_tally``."""
     n = state.n
     shape = [*map(len, state.right), *map(len, state.up), len(state.turn_positive)]
     if shape != [n + 1] * (2 * n) + [2 * n + 1] * n + [n]:
         return ["face count"]
+    segments = tuple(zip(*state.right))  # horizontal arrows per segment, bottom-up
     try:
-        tallies, l = column_tallies(state), left_arrow_row(state)
-    except LatticeError as err:
+        tallies = [_column_tally(segments[c], segments[c + 1], state.up[c])
+                   for c in range(n)]
+    except IceRuleError as err:
         return [str(err)]
+    lefts = [r for r, arrow in enumerate(segments[n - 1]) if not arrow]
+    if len(lefts) != 1:
+        return [f"expected one left arrow at segment {n - 1}, found rows {lefts}"]
+    l = lefts[0] + 1  # 1-based from below
     _, _, b_p, b_m, c_p, c_m = map(sum, zip(*tallies))
     _, _, last_b_p, last_b_m, last_c_p, last_c_m = tallies[-1]
     bad = []
@@ -267,8 +247,9 @@ def state_violations(state: LatticeState) -> list[str]:
         bad.append("rightmost-column c+ count")
     if last_c_m != (1 if l % 2 == 0 else 0):
         bad.append("rightmost-column c- count")
+    wall = segments[0]
     for i, pos in enumerate(state.turn_positive):
-        if (state.right[2 * i][0], state.right[2 * i + 1][0]) != (not pos, pos):
+        if (wall[2 * i], wall[2 * i + 1]) != (not pos, pos):
             bad.append(f"turn {i} heights")
     return bad
 
@@ -299,15 +280,17 @@ class CountTable:
         return buf.getvalue()
 
 
-def double_line_fills(below: tuple[bool, ...]) -> list[tuple[bool, LineFill, LineFill]]:
+def double_line_fills(below: tuple[bool, ...],
+                      fills) -> list[tuple[bool, LineFill, LineFill]]:
     """Every fill of one double line over the vertical edges ``below``, as
     ``(positive, lower, upper)``: its turn's sign and its two rows' ``(along,
-    above)`` fills by ``line_fills`` from the turn to the right boundary,
-    which points right.  A positive turn takes the flow in on the lower row."""
+    above)`` fills by ``fills``, a caller's per-call cache of ``line_fills``,
+    from the turn to the right boundary, which points right.  A positive
+    turn takes the flow in on the lower row."""
     return [(positive, lower, upper)
             for positive in (False, True)
-            for lower in line_fills(below, not positive, True)
-            for upper in line_fills(lower[1], positive, True)]
+            for lower in fills(below, not positive, True)
+            for upper in fills(lower[1], positive, True)]
 
 
 def row_transfer(n: int, start, step, add):
@@ -353,10 +336,11 @@ def count_table(n: int) -> CountTable:
     if n < 1:
         raise ValueError("n must be >= 1")
     face_colors = cache(_face_colors)  # memos live for this call only
+    fills = cache(line_fills)
 
     def step(i: int, below: tuple[bool, ...]):
         tallies: defaultdict[tuple[bool, ...], Counter] = defaultdict(Counter)
-        for positive, (lower, mid), (upper, above) in double_line_fills(below):
+        for positive, (lower, mid), (upper, above) in double_line_fills(below, fills):
             lefts = tuple(row for row, along in ((2 * i + 1, lower), (2 * i + 2, upper))
                           if not along[-2])
             a0, a1, a2 = face_colors(mid, -1 if positive else 1)

@@ -27,7 +27,9 @@ expansions (``pn._assemble`` and ``pn.symmetry_check``); the package's
 are tallied here from a height grid (``color_counts``), apart from the
 package's per-face-row tally in ``count_table``, and vertex kinds per state
 from one ``classify_vertex`` call per vertex (``vertex_census``), apart from
-the package's cached column tallies (``lattice.column_tallies``).
+the package's cached column tallies (``lattice._column_tally``), and the
+left-arrow row by a scan of segment n-1 (``left_arrow_row``), apart from
+``lattice.state_violations``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ from itertools import product
 from math import prod
 
 from ice_colors.exact import Poly, SingularInputError
-from ice_colors.lattice import FaceGrid, LatticeState, classify_vertex, heights
+from ice_colors.lattice import (FaceGrid, LatticeState, LeftArrowError,
+                                classify_vertex, heights)
 from ice_colors.theta import ModelParams, turn_weight, vertex_weight
 from ice_colors.tpoly import g_eval
 
@@ -130,6 +133,17 @@ def color_counts(grid: FaceGrid) -> tuple[int, int, int]:
     """Faces of each color (height mod 3) in a height grid."""
     tally = Counter(h % 3 for row in grid for h in row)
     return (tally[0], tally[1], tally[2])
+
+
+def left_arrow_row(state: LatticeState) -> int:
+    """Row (1-based from below) of the unique left arrow at segment n-1."""
+    n = state.n
+    hits = [r for r in range(2 * n) if not state.right[r][n - 1]]
+    if len(hits) != 1:
+        raise LeftArrowError(
+            f"expected one left arrow at segment {n - 1}, found rows {hits}"
+        )
+    return hits[0] + 1
 
 
 def classified_grid(state: LatticeState) -> tuple[tuple[str, ...], ...]:

@@ -272,6 +272,17 @@ def test_budget_bounds_the_compute():
         2, "", "time budget exhausted\n")
 
 
+def test_cli_import_leaves_the_numeric_layer_unloaded():
+    # Only verify loads theta and verify, so no other command compiles them.
+    src = str(Path(ice_colors.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, ice_colors.cli; print(sorted("
+         "m for m in ('ice_colors.theta', 'ice_colors.verify') if m in sys.modules))"],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
 def test_run_disarms_timer_and_restores_handler(capsys):
     def sentinel(signum, frame):
         raise AssertionError("the alarm outlived its run")

@@ -4,15 +4,16 @@ from math import comb
 
 import pytest
 
-from ice_colors import lattice, verify
+from ice_colors import lattice
 from ice_colors.lattice import (VERTEX_KINDS, CountTable, IceRuleError,
-                                LatticeState, LeftArrowError, column_tallies,
-                                count_table, enumerate_states, heights,
-                                left_arrow_row, render_state, state_violations)
+                                LatticeState, LeftArrowError, count_table,
+                                enumerate_states, heights, render_state,
+                                state_violations)
 from ice_colors.verify import lattice_suite
 
 from oracles import (all_assignment_states, classified_grid, color_counts,
-                     transfer_counts_by_m, vertex_census, vertex_walk_states)
+                     left_arrow_row, transfer_counts_by_m, vertex_census,
+                     vertex_walk_states)
 
 
 def state_key(s):
@@ -139,6 +140,14 @@ def test_census_identities_all_states():
             assert rightmost["b-"] == 0
 
 
+def column_tallies(s):
+    """Each column's cached tally from the wall, as ``state_violations``
+    reads them."""
+    segments = tuple(zip(*s.right))
+    return [lattice._column_tally(segments[c], segments[c + 1], s.up[c])
+            for c in range(s.n)]
+
+
 def test_column_tallies_sum_to_oracle_census():
     for n in (1, 2, 3):
         for s in enumerate_states(n):
@@ -166,7 +175,7 @@ def test_column_ice_rule_is_height_consistency(rows):
         consistent = all(east_faces[r + 1] - east_faces[r] == (1 if east[r] else -1)
                          for r in range(rows))
         try:
-            lattice._column_kinds(west, east, up)
+            lattice._column_tally(west, east, up)
             ice_rule = True
         except IceRuleError:
             ice_rule = False
@@ -201,7 +210,7 @@ def test_rightmost_column_pattern():
     # Given the left-arrow row, the whole last vertex column is forced.
     for n in (1, 2, 3):
         for s in enumerate_states(n):
-            kinds = list(lattice._kind_columns(s)[n - 1])
+            kinds = [row[n - 1] for row in classified_grid(s)]
             l = left_arrow_row(s)
             k = (l + 1) // 2
             expected = []
@@ -235,6 +244,17 @@ def test_left_arrow_error_on_corrupt_state():
         left_arrow_row(broken)
 
 
+@pytest.mark.parametrize("right, up, rows", [
+    (((True, True), (True, True)), ((True, True, True),), []),
+    (((False, False), (False, False)), ((False, False, False),), [0, 1]),
+])
+def test_state_violations_reports_left_arrow_count(right, up, rows):
+    # Every vertex obeys the ice rule, but segment 0 has no left arrow or two.
+    s = LatticeState(1, right, up, (True,))
+    assert state_violations(s) == [
+        f"expected one left arrow at segment 0, found rows {rows}"]
+
+
 def _flip(arrows, i, j):
     """``arrows`` with entry ``[i][j]`` reversed."""
     row = list(arrows[i])
@@ -263,7 +283,7 @@ def test_corrupt_edge_breaks_classification():
     flipped_mid = tuple((s.up[0][0], not s.up[0][1], s.up[0][2]))
     broken = LatticeState(1, s.right, (flipped_mid,), s.turn_positive)
     with pytest.raises(IceRuleError):
-        lattice._kind_columns(broken)
+        column_tallies(broken)
 
 
 def test_state_violations_flags_every_single_corruption():
@@ -298,7 +318,8 @@ def test_state_violations_checks_turns_against_wall():
 def test_vertex_kinds_match_per_vertex_classification():
     for n in range(1, 4):
         for s in enumerate_states(n):
-            assert lattice._kind_columns(s) == list(zip(*classified_grid(s)))
+            assert column_tallies(s) == [tuple(map(column.count, VERTEX_KINDS))
+                                         for column in zip(*classified_grid(s))]
 
 
 def breaks_ice_rule(state):
@@ -324,7 +345,7 @@ def test_column_cache_cannot_hide_corruption():
                 continue  # a turn sign is no edge arrow
             assert breaks_ice_rule(broken)
             with pytest.raises(IceRuleError):
-                lattice._kind_columns(broken)
+                column_tallies(broken)
             found = state_violations(broken)
             assert len(found) == 1 and "breaks the ice rule" in found[0]
             flips += 1
@@ -332,28 +353,26 @@ def test_column_cache_cannot_hide_corruption():
 
 
 def test_lattice_suite_reads_cached_column_tallies(monkeypatch):
-    # No face grid per state: heights is never called, the left-arrow row
-    # is read once per state, and each distinct column is tallied once.
-    calls = Counter()
+    # No face grid per state: heights is never called, and each column is
+    # one lookup in the one column cache, a miss once per distinct column.
+    calls = 0
 
-    def counted(name, fn):
-        def wrapper(state):
-            calls[name] += 1
-            return fn(state)
-        return wrapper
+    def counted(state):
+        nonlocal calls
+        calls += 1
+        return heights(state)
 
-    for name in ("heights", "left_arrow_row"):
-        wrapper = counted(name, getattr(lattice, name))
-        monkeypatch.setattr(lattice, name, wrapper)
-        if hasattr(verify, name):
-            monkeypatch.setattr(verify, name, wrapper)
-    lattice._kinds_tally.cache_clear()
+    monkeypatch.setattr(lattice, "heights", counted)
+    lattice._column_tally.cache_clear()
     reports = lattice_suite(3)
-    tallied = lattice._kinds_tally.cache_info()
+    tallied = lattice._column_tally.cache_info()
     states = [s for n in (1, 2, 3) for s in enumerate_states(n)]
-    columns = {column for s in states for column in zip(*classified_grid(s))}
+    columns = set()
+    for s in states:
+        segments = tuple(zip(*s.right))
+        columns.update((segments[c], segments[c + 1], s.up[c]) for c in range(s.n))
     assert [(r.trials, r.passed) for r in reports] == [(2, True), (12, True), (208, True)]
-    assert (calls["heights"], calls["left_arrow_row"]) == (0, 222)
+    assert calls == 0
     assert tallied.misses == len(columns)
     assert tallied.hits + tallied.misses == sum(s.n for s in states)
 
@@ -415,10 +434,10 @@ def test_count_table_left_arrow_errors(monkeypatch):
         (2, True, False),   # one in each of the two double lines
         (2, False, False),  # none at all
     ]:
-        monkeypatch.setattr(lattice, "double_line_fills", lambda below: [
+        monkeypatch.setattr(lattice, "double_line_fills", lambda below, line: [
             (positive, with_left_arrows(lower, lower_left),
              with_left_arrows(upper, upper_left))
-            for positive, lower, upper in fills(below)])
+            for positive, lower, upper in fills(below, line)])
         with pytest.raises(LeftArrowError):
             count_table(n)
 

@@ -1,11 +1,13 @@
 import cmath
 import importlib
+import random
+import struct
 from dataclasses import replace
 
 import pytest
 
-from ice_colors.theta import (ModelParams, NearSingularError, OMEGA,
-                              ParamSampler, det_complex, partition_filali,
+from ice_colors.theta import (_THETA_MEMO, ModelParams, NearSingularError,
+                              OMEGA, ParamSampler, det_complex, partition_filali,
                               partition_transfer, resample, theta, turn_weight,
                               vertex_weight)
 from ice_colors.verify import relerr
@@ -35,6 +37,25 @@ def test_theta_domain_errors():
         theta(0j, 0.1 + 0j)
     with pytest.raises(ValueError):
         theta(1 + 1j, 1.2 + 0j)
+
+
+def test_theta_memo_is_bit_identical():
+    # Draws from twice as many pairs as the memo holds: repeats come back
+    # from it, and pairs it has let go are computed afresh; every value must
+    # equal the product's own, to the bit.
+    s, rng = sampler(), random.Random(5)
+    pairs = [(s.unit(), s.nome()) for _ in range(2 * _THETA_MEMO)]
+
+    def bits(z):
+        return struct.pack("<dd", z.real, z.imag)
+
+    theta.cache_clear()
+    for _ in range(4000):
+        x, p = rng.choice(pairs)
+        assert bits(theta(x, p)) == bits(theta.__wrapped__(x, p))
+    memo = theta.cache_info()
+    assert memo.maxsize == _THETA_MEMO
+    assert memo.hits > 1000 and memo.misses > len(pairs)
 
 
 def test_theta_quasi_periodicity():
