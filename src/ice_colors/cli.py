@@ -5,6 +5,9 @@ Reports go to stdout (JSON unless CSV is requested), diagnostics to stderr.
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or resource error.
 ``--time-budget`` bounds the whole computation by wall clock with a one-shot
 interval timer (SIGALRM); nothing is written when it runs out.
+``verify`` runs the lattice suite in a forked worker (``worker``) while it
+runs the sampler suites, and prints the worker's reports first; a worker
+that fails makes it exit 2 with one stderr line naming the worker's status.
 Exact values are printed as num/den strings, never floats.  A fixed seed
 makes every report byte-identical across runs.
 """
@@ -18,6 +21,7 @@ import os
 import signal
 import sys
 import time
+from contextlib import nullcontext
 
 from . import __version__
 from .exact import SingularInputError, format_fraction
@@ -124,27 +128,29 @@ def _cmd_pn(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
-    # Only verify needs the numeric layer, so no other command compiles it.
+    # Only verify needs the numeric layer and the worker, so no other
+    # command compiles them.
     from .theta import ParamSampler
-    from .verify import (filali_suite, identity_suite, lattice_suite,
-                         specialization_suite)
+    from .verify import filali_suite, identity_suite, specialization_suite
+    from .worker import lattice_worker
 
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
-    if args.suite in ("lattice", "all") and args.n < 1:
+    lattice = args.suite in ("lattice", "all")
+    if lattice and args.n < 1:
         raise ValueError("lattice suite needs n >= 1")
     sampler = ParamSampler(args.seed)
     reports = []
-    if args.suite in ("lattice", "all"):
-        reports += lattice_suite(max_n=args.n)
-    if args.suite in ("theta", "all"):
-        reports += identity_suite(sampler, trials=max(args.trials, 100))
-    if args.suite in ("filali", "all"):
-        reports += filali_suite(sampler, trials=args.trials)
-    if args.suite in ("specialization", "all"):
-        reports += specialization_suite(sampler, trials=max(1, args.trials // 4))
-    return (json.dumps([r.to_record() for r in reports]),
-            0 if all(r.passed for r in reports) else 1)
+    # The worker's reports print first, as when the suites ran one by one.
+    with (lattice_worker(args.n) if lattice else nullcontext(list)) as lattice_records:
+        if args.suite in ("theta", "all"):
+            reports += identity_suite(sampler, trials=max(args.trials, 100))
+        if args.suite in ("filali", "all"):
+            reports += filali_suite(sampler, trials=args.trials)
+        if args.suite in ("specialization", "all"):
+            reports += specialization_suite(sampler, trials=max(1, args.trials // 4))
+        records = lattice_records() + [r.to_record() for r in reports]
+    return json.dumps(records), 0 if all(r["pass"] for r in records) else 1
 
 
 def _cmd_bench(args: argparse.Namespace) -> tuple[str, int]:
@@ -196,7 +202,7 @@ def run(args: argparse.Namespace) -> int:
     except (ConsistencyError, SingularInputError) as err:
         print(f"exact check failed: {err}", file=sys.stderr)
         return 1
-    except ValueError as err:
+    except (ValueError, ChildProcessError) as err:
         print(str(err), file=sys.stderr)
         return 2
     return code if _emit(text, args) else 2

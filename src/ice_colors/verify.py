@@ -21,6 +21,8 @@ and a pass flag at the suite's tolerance.
 from __future__ import annotations
 
 import cmath
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from math import comb
 from typing import NamedTuple
@@ -56,6 +58,17 @@ class IdentityReport:
 def relerr(a: complex, b: complex) -> float:
     scale = max(abs(a), abs(b), 1e-300)
     return abs(a - b) / scale
+
+
+def _worst(residuals: Iterable[float]) -> float:
+    """The largest residual, or NaN if any is NaN.
+
+    ``max`` keeps its current value when compared with a NaN, so it would
+    drop one that follows the first trial.  Every residual is drawn, so the
+    sampler ends in the same state either way.
+    """
+    values = list(residuals)
+    return math.nan if any(map(math.isnan, values)) else max(values)
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +176,8 @@ _POINTWISE = (
 def identity_suite(sampler: ParamSampler, trials: int = 100) -> list[IdentityReport]:
     reports = []
     for name, check in _POINTWISE:
-        worst = max(check(sampler) for _ in range(trials))
-        reports.append(IdentityReport(name, trials, worst, worst <= POINTWISE_TOL))
+        value = _worst(check(sampler) for _ in range(trials))
+        reports.append(IdentityReport(name, trials, value, value <= POINTWISE_TOL))
     return reports
 
 
@@ -176,15 +189,13 @@ def filali_suite(sampler: ParamSampler, trials: int = 20,
                  sizes: tuple[int, ...] = (1, 2, 3)) -> list[IdentityReport]:
     reports = []
     for n in sizes:
-        worst = 0.0
-        for _ in range(trials):
-            def draw(n=n):
-                params = sampler.params(n)
-                return relerr(partition_transfer(n, params), partition_filali(n, params))
+        def draw(n=n):
+            params = sampler.params(n)
+            return relerr(partition_transfer(n, params), partition_filali(n, params))
 
-            worst = max(worst, resample(draw))
-        reports.append(IdentityReport(f"determinant_formula_n{n}", trials, worst,
-                                      worst <= DETERMINANT_TOL))
+        value = _worst(resample(draw) for _ in range(trials))
+        reports.append(IdentityReport(f"determinant_formula_n{n}", trials, value,
+                                      value <= DETERMINANT_TOL))
     return reports
 
 
@@ -347,15 +358,14 @@ def specialization_suite(sampler: ParamSampler, trials: int = 5,
     for n in sizes:
         table = count_table(n)
         pn_poly = pn_consistent(n, table)
-        worst = SpecializationDraw(0.0, 0.0, 0.0)
-        for _ in range(trials):
-            def draw(n=n, table=table, pn_poly=pn_poly):
-                return specialization_check(
-                    n, sampler.supersymmetric_params(n), table, pn_poly)
+        def draw(n=n, table=table, pn_poly=pn_poly):
+            return specialization_check(
+                n, sampler.supersymmetric_params(n), table, pn_poly)
 
-            worst = SpecializationDraw(*map(max, worst, resample(draw)))
+        draws = [resample(draw) for _ in range(trials)]
         for label, value in zip(("grouped_state_sum", "quarter_point_state_sum",
-                                 "quarter_point_determinant"), worst):
+                                 "quarter_point_determinant"),
+                                map(_worst, zip(*draws))):
             reports.append(IdentityReport(f"{label}_n{n}", trials, value,
                                           value <= DETERMINANT_TOL))
     return reports

@@ -1,0 +1,113 @@
+"""The lattice suite in a forked worker process, for ``ice-colors verify``.
+
+The lattice suite shares no state with the sampler suites, so ``verify``
+runs it in a child made by ``os.fork`` (POSIX only, like the ``SIGALRM``
+timer of ``--time-budget``) while it runs the sampler suites itself.  The
+child sends the records of its reports back as JSON through a pipe; it
+never writes to stdout and ends in ``os._exit`` on every path.  A worker
+that cannot start or does not exit 0 raises ``ChildProcessError`` with a
+one-line message.  The parent kills and reaps a worker still running when
+it leaves the ``with`` block, whatever ends it; a worker whose parent died
+without that exits by itself.  The library functions of ``verify`` stay
+in-process.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import signal
+import sys
+from contextlib import contextmanager
+
+
+@contextmanager
+def _alarm_blocked():
+    """Hold SIGALRM pending while the block runs, so the --time-budget timer
+    raises only after it."""
+    previous = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGALRM})
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
+
+
+def _serve(max_n: int, writer, parent: int) -> None:
+    """The worker's whole life: send the records of
+    ``verify.lattice_suite(max_n)`` as JSON, then ``os._exit``.
+
+    A parent ended by a signal it does not handle (SIGKILL, or SIGTERM,
+    whose default action ends it) runs no cleanup, so every half second of
+    its own CPU time the worker exits if ``parent`` is no longer its parent.
+    """
+    from . import verify
+
+    def exit_if_orphaned(signum, frame):
+        if os.getppid() != parent:
+            os._exit(1)
+
+    try:
+        signal.signal(signal.SIGVTALRM, exit_if_orphaned)
+        signal.setitimer(signal.ITIMER_VIRTUAL, 0.5, 0.5)
+        writer.write(json.dumps(
+            [r.to_record() for r in verify.lattice_suite(max_n=max_n)]).encode())
+        writer.close()
+        os._exit(0)
+    except BaseException:
+        try:
+            sys.excepthook(*sys.exc_info())  # the traceback, to stderr
+            sys.stderr.flush()
+        finally:
+            os._exit(1)
+
+
+@contextmanager
+def lattice_worker(max_n: int):
+    """Run the lattice suite up to ``max_n`` in a forked child while the
+    block runs; yield ``join()``, which waits for the child and returns the
+    records of its reports.  Whatever ends the block, a child still running
+    is killed and reaped.
+    """
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError as err:
+        raise ChildProcessError(
+            f"cannot start the lattice worker: {err.strerror}") from None
+    pid, parent = 0, os.getpid()
+    with open(read_fd, "rb") as reader:
+        try:
+            # The parent's copy of the write end closes at once, so read()
+            # ends when the child's does.
+            with open(write_fd, "wb") as writer:
+                sys.stdout.flush()
+                sys.stderr.flush()
+                with _alarm_blocked():  # so no timeout falls between fork and pid
+                    try:
+                        pid = os.fork()
+                    except OSError as err:
+                        raise ChildProcessError("cannot start the lattice worker: "
+                                                f"{err.strerror}") from None
+                    if pid == 0:
+                        reader.close()
+                        _serve(max_n, writer, parent)
+
+            def join() -> list[dict]:
+                nonlocal pid
+                data = reader.read()
+                with _alarm_blocked():  # a reaped pid is never killed below
+                    _, status = os.waitpid(pid, 0)
+                    pid = 0
+                code = os.waitstatus_to_exitcode(status)
+                if code < 0:
+                    raise ChildProcessError(
+                        f"lattice worker killed by {signal.Signals(-code).name}")
+                if code:
+                    raise ChildProcessError(f"lattice worker exited with status {code}")
+                return json.loads(data)
+
+            yield join
+        finally:
+            if pid:
+                with _alarm_blocked():
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)

@@ -14,6 +14,7 @@ from ice_colors import cli, pn, verify
 from ice_colors.cli import build_parser, main, run
 from ice_colors.exact import SingularInputError
 from ice_colors.lattice import LatticeState, enumerate_states
+from ice_colors.theta import NearSingularError, ParamSampler
 
 
 def run_cli(capsys, *argv):
@@ -138,6 +139,138 @@ def test_state_breaking_lattice_rules_is_reported(capsys, monkeypatch):
     assert (code, err) == (1, "")
     assert json.loads(out) == [{"name": "state_invariants_n1", "trials": 1,
                                 "max_rel_residual": 1.0, "pass": False}]
+
+
+@pytest.mark.parametrize("seed, n", [(0, 3), (7, 3), (17, 3), (0, 4)])
+def test_verify_equals_the_suites_run_in_process(capsys, seed, n):
+    # The lattice suite runs in a forked worker; the report must be the
+    # in-process suites' records, the lattice reports first.
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--n", str(n),
+                             "--seed", str(seed))
+    sampler = ParamSampler(seed)
+    reports = (verify.lattice_suite(max_n=n)
+               + verify.identity_suite(sampler, trials=100)
+               + verify.filali_suite(sampler, trials=20)
+               + verify.specialization_suite(sampler, trials=5))
+    assert out == json.dumps([r.to_record() for r in reports]) + "\n"
+    assert (code, err) == (0 if all(r.passed for r in reports) else 1, "")
+
+
+def _killed_by_sigkill(max_n, parent=os.getpid()):
+    if os.getpid() == parent:
+        raise AssertionError("the lattice suite ran in the parent")
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _raises(max_n):
+    raise RuntimeError("lattice suite broke")
+
+
+@pytest.mark.parametrize("suite, status", [
+    (_raises, "lattice worker exited with status 1\n"),
+    (_killed_by_sigkill, "lattice worker killed by SIGKILL\n"),
+], ids=["raises", "sigkill"])
+def test_failed_lattice_worker_exits_2(capsys, monkeypatch, suite, status):
+    monkeypatch.setattr(verify, "lattice_suite", suite)
+    for argv in (("--suite", "lattice"), ("--suite", "all", "--trials", "1")):
+        assert run_cli(capsys, "verify", *argv, "--n", "2") == (2, "", status)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children forked during the test."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def _assert_reaped(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    raise AssertionError(f"worker {pid} outlived its run")
+
+
+def test_worker_is_reaped_after_a_run(capsys, forks):
+    assert run_cli(capsys, "verify", "--suite", "lattice", "--n", "2")[0] == 0
+    assert len(forks) == 1
+    _assert_reaped(forks[0])
+
+
+def test_exception_in_parent_kills_the_worker(capsys, monkeypatch, forks):
+    # The lattice suite at n = 6 walks 595,497,600 states: the worker is
+    # still running when the parent's suite raises, and must not outlive it.
+    def near_singular(sampler, trials):
+        raise NearSingularError("no well-conditioned draw")
+
+    monkeypatch.setattr(verify, "identity_suite", near_singular)
+    with pytest.raises(NearSingularError):
+        run_cli(capsys, "verify", "--suite", "all", "--n", "6")
+    assert len(forks) == 1
+    _assert_reaped(forks[0])
+
+
+def test_time_budget_leaves_no_worker():
+    # The worker inherits the run's process group, which is empty once the
+    # run has exited if nothing it forked survived.
+    src = str(Path(ice_colors.__file__).resolve().parents[1])
+    start = time.monotonic()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ice_colors.cli", "verify", "--suite", "all",
+         "--n", "6", "--time-budget", "0.5"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True, env={**os.environ, "PYTHONPATH": src})
+    try:
+        out, err = proc.communicate(timeout=30)
+        assert time.monotonic() - start < 10
+        assert (proc.returncode, out, err) == (2, "", "time budget exhausted\n")
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+
+
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL],
+                         ids=lambda sig: sig.name)
+def test_killed_parent_leaves_no_worker(sig):
+    # A parent ended by a signal it does not handle runs no cleanup; the
+    # orphaned worker must notice and exit by itself.
+    src = str(Path(ice_colors.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ice_colors.cli", "verify", "--suite", "lattice",
+         "--n", "6"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        start_new_session=True, env={**os.environ, "PYTHONPATH": src})
+    try:
+        time.sleep(1)  # time to start the worker, which walks states for hours
+        proc.send_signal(sig)
+        assert proc.wait(timeout=30) == -sig
+        deadline = time.monotonic() + 10
+        with pytest.raises(ProcessLookupError):
+            while time.monotonic() < deadline:
+                os.killpg(proc.pid, 0)
+                time.sleep(0.05)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
 
 
 def test_bench(capsys):
@@ -273,11 +406,13 @@ def test_budget_bounds_the_compute():
 
 
 def test_cli_import_leaves_the_numeric_layer_unloaded():
-    # Only verify loads theta and verify, so no other command compiles them.
+    # Only verify loads theta, verify and worker, so no other command
+    # compiles them.
     src = str(Path(ice_colors.__file__).resolve().parents[1])
     done = subprocess.run(
         [sys.executable, "-c", "import sys, ice_colors.cli; print(sorted("
-         "m for m in ('ice_colors.theta', 'ice_colors.verify') if m in sys.modules))"],
+         "m for m in ('ice_colors.theta', 'ice_colors.verify', 'ice_colors.worker')"
+         " if m in sys.modules))"],
         capture_output=True, text=True, timeout=30,
         env={**os.environ, "PYTHONPATH": src})
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

@@ -1,8 +1,9 @@
+import math
 from dataclasses import replace
 
 import pytest
 
-from ice_colors import lattice, theta
+from ice_colors import lattice, theta, verify
 from ice_colors.lattice import CountTable, count_table
 from ice_colors.pn import pn_consistent
 from ice_colors.theta import ParamSampler, resample
@@ -102,3 +103,45 @@ def test_identity_suite_deterministic_under_seed():
     a = identity_suite(ParamSampler(21), trials=10)
     b = identity_suite(ParamSampler(21), trials=10)
     assert [r.max_rel_residual for r in a] == [r.max_rel_residual for r in b]
+
+
+def _nan_on_call(fn, call=2):
+    """``fn`` with its ``call``-th result replaced by NaN."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        value = fn(*args, **kwargs)
+        calls.append(1)
+        if len(calls) != call:
+            return value
+        if isinstance(value, tuple):
+            return type(value)(*(math.nan for _ in value))
+        return math.nan
+    return wrapped
+
+
+# ``max`` keeps its current value when compared with a NaN, so a NaN after
+# the first trial would pass its report unseen.
+
+def test_nan_in_a_pointwise_trial_fails_its_report(monkeypatch):
+    name, check = verify._POINTWISE[0]
+    monkeypatch.setattr(verify, "_POINTWISE",
+                        ((name, _nan_on_call(check)),) + verify._POINTWISE[1:])
+    reports = identity_suite(ParamSampler(0), trials=3)
+    assert math.isnan(reports[0].max_rel_residual)
+    assert [r.passed for r in reports] == [False] + [True] * 9
+
+
+def test_nan_in_a_filali_draw_fails_its_report(monkeypatch):
+    monkeypatch.setattr(verify, "partition_filali",
+                        _nan_on_call(verify.partition_filali))
+    [report] = filali_suite(ParamSampler(0), trials=3, sizes=(2,))
+    assert math.isnan(report.max_rel_residual) and not report.passed
+
+
+def test_nan_in_a_specialization_draw_fails_its_reports(monkeypatch):
+    monkeypatch.setattr(verify, "specialization_check",
+                        _nan_on_call(verify.specialization_check))
+    reports = specialization_suite(ParamSampler(13), trials=3, sizes=(1,))
+    assert all(math.isnan(r.max_rel_residual) for r in reports)
+    assert not any(r.passed for r in reports)
