@@ -1,5 +1,5 @@
 """Exact arithmetic substrate: rational polynomial values, fraction-free
-determinants and Newton interpolation.
+integer determinants and Newton interpolation.
 
 Rationals are ``fractions.Fraction`` (arbitrary precision, canonical
 form); callers that can work in plain integers do so and make one
@@ -13,7 +13,6 @@ few sums and products the package needs are written over plain ``int`` or
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence
 
 
@@ -47,8 +46,6 @@ class Poly:
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == Poly([other])
         return NotImplemented
 
     def __hash__(self):
@@ -69,21 +66,18 @@ def format_fraction(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
 
 
-def det_exact(matrix: Sequence[Sequence]) -> Fraction:
-    """Determinant of a square rational matrix.
-
-    Denominators are cleared first (integer entries pass through as they
-    are), then the integer matrix goes through fraction-free Bareiss
-    elimination, so no rational arithmetic happens inside the O(k^3) loop.
-    """
+def det_exact(matrix: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free Bareiss
+    elimination.  Any other entry raises ``TypeError``: the elimination's
+    exact divisions would silently floor a rational one."""
     k = len(matrix)
     if any(len(row) != k for row in matrix):
         raise ValueError("matrix is not square")
+    if not all(isinstance(x, int) for row in matrix for x in row):
+        raise TypeError("det_exact takes integer entries only")
     if k == 0:
-        return Fraction(1)
-    rows = [[x if isinstance(x, int) else _frac(x) for x in row] for row in matrix]
-    scale = lcm(*(x.denominator for row in rows for x in row))
-    a = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+        return 1
+    a = [list(row) for row in matrix]
 
     sign = 1
     prev = 1
@@ -95,14 +89,14 @@ def det_exact(matrix: Sequence[Sequence]) -> Fraction:
                     sign = -sign
                     break
             else:
-                return Fraction(0)
+                return 0
         pivot = a[j][j]
         for i in range(j + 1, k):
             for col in range(j + 1, k):
                 a[i][col] = (a[i][col] * pivot - a[i][j] * a[j][col]) // prev
             a[i][j] = 0
         prev = pivot
-    return Fraction(sign * a[k - 1][k - 1], scale**k)
+    return sign * a[k - 1][k - 1]
 
 
 def interpolate(points: Sequence[tuple]) -> Poly:

@@ -197,31 +197,33 @@ def _divergence(label_a: str, a: Poly, label_b: str, b: Poly) -> str:
     return f"{label_a} and {label_b} disagree at " + "; ".join(diffs)
 
 
-@cache
-def _symmetry_term(k: int, power: int) -> tuple[int, ...]:
-    """Ascending integer coefficients of (1-z)^k (1+3z)^(power-k)."""
-    return _convolve(tuple(comb(k, i) * (-1) ** i for i in range(k + 1)),
-                     tuple(comb(power - k, j) * 3**j for j in range(power - k + 1)))
-
-
 def symmetry_check(p: Poly, n: int) -> bool:
     """Exact test of p(z) = ((1+3z)/2)^(n(n-1)) * p((1-z)/(1+3z)).
 
-    Both sides are scaled by 2^(n(n-1)) and by the common denominator of
-    p's coefficients, so the comparison runs over integers.
+    Scaled by 2^D, D = n(n-1), and by the common denominator of p's
+    coefficients c_k, the sides are 2^D p(z) and sum c_k (1-z)^k (1+3z)^(D-k),
+    integer polynomials of degree at most D, so they are equal exactly when
+    they agree at z = 0..D.  Only those values are compared, by Horner's rule
+    and by its homogeneous form in 1-z and 1+3z.
     """
     power = (n - 1) * n
     if p.degree > power:
         raise ValueError("degree exceeds (n-1)n")
     scale = lcm(*(c.denominator for c in p.coeffs))
     ints = [c.numerator * (scale // c.denominator) for c in p.coeffs]
-    lhs = [2**power * c for c in ints] + [0] * (power + 1 - len(ints))
-    rhs = [0] * (power + 1)
-    for k, c in enumerate(ints):
-        if c:
-            for i, t in enumerate(_symmetry_term(k, power)):
-                rhs[i] += c * t
-    return lhs == rhs
+    ints += [0] * (power + 1 - len(ints))
+    for z in range(power + 1):
+        lhs = 0
+        for c in reversed(ints):
+            lhs = lhs * z + c
+        u, v = 1 - z, 1 + 3 * z
+        rhs, v_pow = ints[power], 1
+        for c in reversed(ints[:power]):
+            v_pow *= v
+            rhs = rhs * u + c * v_pow
+        if lhs << power != rhs:
+            return False
+    return True
 
 
 def positivity_report(p: Poly) -> list[tuple[int, Fraction]]:

@@ -32,9 +32,9 @@ and ``M[i][n-1] = H'[i] g00^i``.  The powers of g00 cancel, and
 
 the one ``Fraction`` of the evaluation.
 
-Dividing by the closed-form prefactor in psi and sampling over rational
-psi-values reconstructs a polynomial p in z = -1/(2*psi+1) of degree n(n-1)
-with constant term 1.
+Dividing by the closed-form prefactor ``t_prefactor`` and sampling over
+rational psi-values reconstructs a polynomial p in z = -1/(2*psi+1) of
+degree n(n-1) with constant term 1.
 """
 
 from __future__ import annotations
@@ -60,17 +60,13 @@ def g_eval(x, y, psi, w=1):
 
 @dataclass(frozen=True)
 class PsiPoint:
-    """An admissible rational psi together with its companion value 2*psi+1."""
+    """A rational psi at which the specialization does not degenerate."""
 
     psi: Fraction
 
     def __post_init__(self):
         if self.psi in (Fraction(0), Fraction(-1), Fraction(-1, 2)):
             raise ValueError("psi in {0, -1, -1/2} degenerates the specialization")
-
-    @property
-    def xi0(self) -> Fraction:
-        return 2 * self.psi + 1
 
     @staticmethod
     def from_z(z: Fraction) -> "PsiPoint":
@@ -127,13 +123,15 @@ def t_at_specialization(point: PsiPoint, n: int) -> Fraction:
     g00, g0_psi = g_aa[0][0], g_apsi[0]
     matrix = [[h * g0_psi**i for h in row_a] + [row_psi[0] * g00**i]
               for i, (row_a, row_psi) in enumerate(zip(at_a, at_psi))]
-    return det_exact(matrix) / (g0_psi ** ((n - 1) * (n - 2) // 2)
-                                * q ** (3 * n * (n - 1)) * (-(p + q)) ** (n - 1))
+    return Fraction(det_exact(matrix), g0_psi ** ((n - 1) * (n - 2) // 2)
+                    * q ** (3 * n * (n - 1)) * (-(p + q)) ** (n - 1))
 
 
-def _prefactor(point: PsiPoint, n: int) -> Fraction:
-    psi, xi0 = point.psi, point.xi0
-    return (psi / xi0) ** (n - 1) * ((psi + 1) * xi0 * xi0) ** (n * n - n)
+def t_prefactor(psi, n: int):
+    """The factor in T = t_prefactor(psi, n) * p_n(-1/(2*psi+1)), for a
+    Fraction psi (exact) and a complex one (``verify``) alike."""
+    return ((psi / (2 * psi + 1)) ** (n - 1)
+            * ((psi + 1) * (2 * psi + 1) ** 2) ** (n * n - n))
 
 
 def pn_via_T(n: int) -> Poly:
@@ -150,7 +148,7 @@ def pn_via_T(n: int) -> Poly:
     samples = []
     for z in zs:
         point = PsiPoint.from_z(z)
-        value = t_at_specialization(point, n) / _prefactor(point, n)
+        value = t_at_specialization(point, n) / t_prefactor(point.psi, n)
         samples.append((z, value))
     poly = interpolate(samples[:-1])
     zx, yx = samples[-1]

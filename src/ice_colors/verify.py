@@ -33,7 +33,7 @@ from .pn import pn_consistent
 from .theta import (OMEGA, TWO_PI_I, ModelParams, ParamSampler,
                     partition_filali, partition_transfer, psi_numeric, resample,
                     theta, theta_pm, x_numeric)
-from .tpoly import g_eval
+from .tpoly import g_eval, t_prefactor
 
 POINTWISE_TOL = 1e-10
 DETERMINANT_TOL = 1e-8
@@ -296,9 +296,7 @@ def quarter_point_determinant(n: int, params: ModelParams, pn_poly: Poly) -> com
     rho_m, zeta_m = q(params.rho), q(params.zeta)
     sp = cmath.sqrt(p)
     psi = psi_numeric(p)
-    t_value = ((psi / (2 * psi + 1)) ** (n - 1)
-               * ((psi + 1) * (2 * psi + 1) ** 2) ** (n * n - n)
-               * pn_poly(-1 / (2 * psi + 1)))
+    t_value = t_prefactor(psi, n) * pn_poly(-1 / (2 * psi + 1))
 
     c_const = (theta(-OMEGA, p) ** 2 * theta(-sp, p)
                / (OMEGA * theta(-1 + 0j, p) * theta(sp, p) ** 2
@@ -330,8 +328,8 @@ def quarter_point_determinant(n: int, params: ModelParams, pn_poly: Poly) -> com
 
 
 class SpecializationDraw(NamedTuple):
-    generic_column: float
-    quarter_point_sum: float
+    grouped_state_sum: float
+    quarter_point_state_sum: float
     quarter_point_determinant: float
 
 
@@ -363,9 +361,7 @@ def specialization_suite(sampler: ParamSampler, trials: int = 5,
                 n, sampler.supersymmetric_params(n), table, pn_poly)
 
         draws = [resample(draw) for _ in range(trials)]
-        for label, value in zip(("grouped_state_sum", "quarter_point_state_sum",
-                                 "quarter_point_determinant"),
-                                map(_worst, zip(*draws))):
+        for label, value in zip(SpecializationDraw._fields, map(_worst, zip(*draws))):
             reports.append(IdentityReport(f"{label}_n{n}", trials, value,
                                           value <= DETERMINANT_TOL))
     return reports

@@ -19,11 +19,13 @@ which weighs each distinct row fill once per draw
 is evaluated here from its definition at distinct arguments, and its value
 at repeated arguments as a perturbation limit, apart from the package's
 confluent formula (``tpoly.t_at_specialization``).  The count sums and the
-symmetry image are built here from powers over ``Fraction``, by this
-module's own coefficient-list arithmetic (``poly_add``, ``poly_mul``,
-``poly_pow``, ``poly_divmod``), apart from the package's integer binomial
-expansions (``pn._assemble`` and ``pn.symmetry_check``); the package's
-``Poly`` is only a value and does no arithmetic.  Face colors per state
+symmetry image (``symmetry_image``) are built here from powers over
+``Fraction``, by this module's own coefficient-list arithmetic
+(``poly_add``, ``poly_mul``, ``poly_pow``, ``poly_divmod``), apart from the
+package's integer binomial expansions (``pn._assemble``) and its symmetry
+test, which composes nothing but compares integer values of both sides at
+z = 0..n(n-1) (``pn.symmetry_check``); the package's ``Poly`` is only a
+value and does no arithmetic.  Face colors per state
 are tallied here from a height grid (``color_counts``), apart from the
 package's per-face-row tally in ``count_table``, and vertex kinds per state
 from one ``classify_vertex`` call per vertex (``vertex_census``), apart from

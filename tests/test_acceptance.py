@@ -115,7 +115,7 @@ def test_criterion_8_specialized_partition_function():
                     n, sampler.supersymmetric_params(n), table, poly)
 
             result = resample(draw)
-            assert result.generic_column <= 1e-8
-            assert result.quarter_point_sum <= 1e-8
+            assert result.grouped_state_sum <= 1e-8
+            assert result.quarter_point_state_sum <= 1e-8
             assert result.quarter_point_determinant <= 1e-8
     _report(8, "specialized double sums <= 1e-8", started, 60.0)

@@ -259,6 +259,22 @@ def test_symmetry_check_rejects_perturbed_p5():
     assert symmetry_check(Poly(poly_mul(P5.coeffs, [Fraction(3, 7)])), 5)
 
 
+def test_symmetry_check_holds_on_determinant_route_n6_to_n10():
+    for n in range(6, 11):
+        assert symmetry_check(pn_via_T(n), n), n
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_symmetry_check_rejects_unit_changes(n):
+    poly = pn_via_T(n)
+    top = n * (n - 1)
+    for i in (0, top // 2, top):
+        for delta in (1, -1):
+            coeffs = list(poly.coeffs)
+            coeffs[i] += delta
+            assert not symmetry_check(Poly(coeffs), n), (i, delta)
+
+
 def test_symmetry_check_examples():
     assert symmetry_check(Poly([1]), 1)
     assert not symmetry_check(Poly([0, 1]), 2)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ice_colors.tpoly import PsiPoint, g_eval, pn_via_T, t_at_specialization
+from ice_colors.tpoly import (PsiPoint, g_eval, pn_via_T, t_at_specialization,
+                              t_prefactor)
 
 from oracles import t_distinct, t_perturbation_limit
 
@@ -71,7 +72,7 @@ def test_specialization_matches_perturbation_oracle():
         for z in (Fraction(2), Fraction(3), Fraction(7, 3), Fraction(-5, 2),
                   Fraction(1, 4)):
             point = PsiPoint.from_z(z)
-            targets = [point.xi0] * (2 * n - 1) + [point.psi]
+            targets = [2 * point.psi + 1] * (2 * n - 1) + [point.psi]
             assert (t_at_specialization(point, n)
                     == t_perturbation_limit(targets, point.psi)), (n, z)
 
@@ -89,7 +90,7 @@ def test_specialization_matches_perturbation_oracle_at_drawn_psi(psi, n):
     # The integer evaluation scales by powers of psi's numerator and
     # denominator; negative and fractional psi exercise their signs.
     point = PsiPoint(psi)
-    targets = [point.xi0] * (2 * n - 1) + [psi]
+    targets = [2 * point.psi + 1] * (2 * n - 1) + [psi]
     assert t_at_specialization(point, n) == t_perturbation_limit(targets, psi)
 
 
@@ -125,3 +126,24 @@ def test_pn_via_T_degree_and_constant_term():
         poly = pn_via_T(n)
         assert poly.degree == n * (n - 1)
         assert poly.coeffs[0] == 1
+
+
+OFF_GRID_PSI = (Fraction(5, 7), Fraction(-7, 12), Fraction(-11, 4), Fraction(3))
+
+
+def test_t_is_prefactor_times_pn_off_the_sample_grid():
+    # pn_via_T samples z = 2, 3, ...; these psi give z = -7/17, 6, 2/9 and
+    # -1/7, so the relation is checked where the interpolation was not fed.
+    for n in (1, 2, 3, 4):
+        poly = pn_via_T(n)
+        for psi in OFF_GRID_PSI:
+            assert (t_at_specialization(PsiPoint(psi), n)
+                    == t_prefactor(psi, n) * poly(-1 / (2 * psi + 1))), (n, psi)
+
+
+def test_t_prefactor_complex_matches_exact():
+    # verify's quarter-point check evaluates the same prefactor at complex psi.
+    for n in (1, 2, 3, 4):
+        for psi in OFF_GRID_PSI:
+            exact = float(t_prefactor(psi, n))
+            assert abs(t_prefactor(complex(psi), n) - exact) <= 1e-12 * abs(exact)

@@ -68,8 +68,8 @@ def test_specialization_check_single_draw():
                                     table, poly)
 
     result = resample(draw)
-    assert result.generic_column <= 1e-8
-    assert result.quarter_point_sum <= 1e-8
+    assert result.grouped_state_sum <= 1e-8
+    assert result.quarter_point_state_sum <= 1e-8
     assert result.quarter_point_determinant <= 1e-8
 
 
