@@ -3,8 +3,11 @@
 Subcommands: ``enumerate``, ``counts``, ``pn``, ``verify``, ``bench``.
 Reports go to stdout (JSON unless CSV is requested), diagnostics to stderr.
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or resource error.
-``--time-budget`` bounds the whole computation by wall clock with a one-shot
-interval timer (SIGALRM); nothing is written when it runs out.
+``--time-budget`` bounds the whole run, the writing of its report included,
+by wall clock with a one-shot interval timer (SIGALRM).  Every report but
+``enumerate --dump`` is made whole before any of it is written, so nothing
+is written when the budget runs out while it is made; a dump is written as
+its states are made, and what it wrote stays.
 ``verify`` runs the lattice suite in a forked worker (``worker``) while it
 runs the sampler suites, and prints the worker's reports first; a worker
 that fails makes it exit 2 with one stderr line naming the worker's status.
@@ -21,7 +24,9 @@ import os
 import signal
 import sys
 import time
+from collections.abc import Iterator
 from contextlib import nullcontext
+from itertools import chain
 
 from . import __version__
 from .exact import SingularInputError, format_fraction
@@ -73,21 +78,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, args: argparse.Namespace) -> bool:
+def _emit(report: str | Iterator[str], args: argparse.Namespace) -> bool:
     """Write the report, ending in one newline, to ``--output`` or stdout,
-    the same bytes either way; False, after one stderr line, if that fails."""
-    data = memoryview((text if text.endswith("\n") else text + "\n")
-                      .encode(sys.stdout.encoding))
+    the same bytes either way; False, after one stderr line, if that fails.
+    An iterator's strings are written as they are made; nothing is opened
+    before the first is made."""
+    chunks = iter([report if report.endswith("\n") else report + "\n"]
+                  if isinstance(report, str) else report)
+    first = [next(chunks)]
     try:
-        if args.output is not None:  # an empty path is a path too
-            with open(args.output, "wb") as handle:
-                handle.write(data)
-        else:
-            # Resend what a short raw write (PYTHONUNBUFFERED) leaves unsent.
+        with (nullcontext(sys.stdout.buffer) if args.output is None
+              else open(args.output, "wb")) as handle:  # an empty path is a path too
             sys.stdout.flush()
-            while data:
-                data = data[sys.stdout.buffer.write(data):]
-            sys.stdout.buffer.flush()
+            for text in chain(first, chunks):
+                data = memoryview(text.encode(sys.stdout.encoding))
+                # Resend what a short raw write (PYTHONUNBUFFERED) leaves unsent.
+                while data:
+                    data = data[handle.write(data):]
+            handle.flush()
+    except TimeoutError:  # an OSError, but the time budget's
+        raise
     except OSError as err:
         if args.output is None:  # so the exit flush cannot fail a second time
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -97,11 +107,18 @@ def _emit(text: str, args: argparse.Namespace) -> bool:
     return True
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> tuple[str, int]:
+def _dump(n: int) -> Iterator[str]:
+    """Each state's grid, then the number of states."""
+    count = 0
+    for count, state in enumerate(enumerate_states(n), 1):
+        yield render_state(state) + "\n"
+    yield f"states: {count}\n"
+
+
+def _cmd_enumerate(args: argparse.Namespace) -> tuple[str | Iterator[str], int]:
     if not args.dump:
         return json.dumps({"n": args.n, "states": count_table(args.n).total()}), 0
-    dumps = [render_state(state) for state in enumerate_states(args.n)]
-    return "\n".join(dumps) + f"\nstates: {len(dumps)}", 0
+    return _dump(args.n), 0
 
 
 def _cmd_counts(args: argparse.Namespace) -> tuple[str, int]:
@@ -129,9 +146,7 @@ def _cmd_pn(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     # Only verify needs the numeric layer and the worker, so no other
-    # command compiles them.
-    from .theta import ParamSampler
-    from .verify import filali_suite, identity_suite, specialization_suite
+    # command compiles them; the worker forks before theta and verify load.
     from .worker import lattice_worker
 
     if args.trials < 1:
@@ -139,10 +154,13 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     lattice = args.suite in ("lattice", "all")
     if lattice and args.n < 1:
         raise ValueError("lattice suite needs n >= 1")
-    sampler = ParamSampler(args.seed)
     reports = []
     # The worker's reports print first, as when the suites ran one by one.
     with (lattice_worker(args.n) if lattice else nullcontext(list)) as lattice_records:
+        from .theta import ParamSampler
+        from .verify import filali_suite, identity_suite, specialization_suite
+
+        sampler = ParamSampler(args.seed)
         if args.suite in ("theta", "all"):
             reports += identity_suite(sampler, trials=max(args.trials, 100))
         if args.suite in ("filali", "all"):
@@ -169,11 +187,17 @@ def _time_out(signum, frame):
     raise TimeoutError
 
 
-def _compute(args: argparse.Namespace) -> tuple[str, int]:
-    """Run the handler; raise TimeoutError once --time-budget seconds pass."""
+def _report(args: argparse.Namespace) -> int:
+    """Run the handler and write its report; the exit code."""
+    report, code = args.handler(args)
+    return code if _emit(report, args) else 2
+
+
+def _compute(args: argparse.Namespace) -> int:
+    """``_report``; raise TimeoutError once --time-budget seconds pass."""
     seconds = args.time_budget
     if seconds is None:
-        return args.handler(args)
+        return _report(args)
     if math.isnan(seconds):
         raise ValueError("time budget must be a number")
     if seconds <= 0:
@@ -185,7 +209,7 @@ def _compute(args: argparse.Namespace) -> tuple[str, int]:
         except OverflowError:  # past the clock's range: it never runs out
             pass
         try:
-            return args.handler(args)
+            return _report(args)
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
     finally:
@@ -195,7 +219,7 @@ def _compute(args: argparse.Namespace) -> tuple[str, int]:
 
 def run(args: argparse.Namespace) -> int:
     try:
-        text, code = _compute(args)
+        return _compute(args)
     except TimeoutError:
         print("time budget exhausted", file=sys.stderr)
         return 2
@@ -205,7 +229,6 @@ def run(args: argparse.Namespace) -> int:
     except (ValueError, ChildProcessError) as err:
         print(str(err), file=sys.stderr)
         return 2
-    return code if _emit(text, args) else 2
 
 
 def main(argv=None) -> None:

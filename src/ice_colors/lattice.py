@@ -45,7 +45,8 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from math import comb
-from typing import Iterator
+from operator import not_
+from typing import Iterator, NamedTuple
 
 
 class LatticeError(Exception):
@@ -83,8 +84,7 @@ _LOWER_KIND = {
 }
 
 
-@dataclass(frozen=True)
-class LatticeState:
+class LatticeState(NamedTuple):
     """Arrow assignment on every edge and turn of the 2n x n lattice."""
 
     n: int
@@ -219,38 +219,40 @@ def state_violations(state: LatticeState) -> list[str]:
     lattice rule's message.  No face grid: heights exist exactly when every
     vertex obeys the ice rule and each turn's segment-0 arrows follow its
     flow, and then each turn face has its color (module docstring).  Each
-    column is tallied once per distinct column by ``_column_tally``."""
-    n = state.n
-    shape = [*map(len, state.right), *map(len, state.up), len(state.turn_positive)]
+    column is tallied once per distinct column by ``_column_tally``; the
+    left-arrow and turn tests are tuple methods and slice compares, and a
+    message is built only for a rule that fails."""
+    n, right, up, turns = state
+    shape = [*map(len, right), *map(len, up), len(turns)]
     if shape != [n + 1] * (2 * n) + [2 * n + 1] * n + [n]:
         return ["face count"]
-    segments = tuple(zip(*state.right))  # horizontal arrows per segment, bottom-up
+    segments = tuple(zip(*right))  # horizontal arrows per segment, bottom-up
     try:
-        tallies = [_column_tally(segments[c], segments[c + 1], state.up[c])
-                   for c in range(n)]
+        tallies = list(map(_column_tally, segments, segments[1:], up))
     except IceRuleError as err:
         return [str(err)]
-    lefts = [r for r, arrow in enumerate(segments[n - 1]) if not arrow]
-    if len(lefts) != 1:
+    last = segments[n - 1]
+    if last.count(False) != 1:
+        lefts = [r for r, arrow in enumerate(last) if not arrow]
         return [f"expected one left arrow at segment {n - 1}, found rows {lefts}"]
-    l = lefts[0] + 1  # 1-based from below
+    odd = last.index(False) % 2 == 0  # the left arrow's row l, 1-based, is odd
     _, _, b_p, b_m, c_p, c_m = map(sum, zip(*tallies))
     _, _, last_b_p, last_b_m, last_c_p, last_c_m = tallies[-1]
     bad = []
     if b_p != b_m + comb(n + 1, 2):
         bad.append("b+ / b- census identity")
-    if c_p + 2 * state.turn_positive.count(False) != c_m + n:
+    if c_p + 2 * turns.count(False) != c_m + n:
         bad.append("c+ / c- / k- census identity")
     if last_b_p != n or last_b_m != 0:
         bad.append("rightmost-column b census")
-    if last_c_p != (1 if l % 2 == 1 else 0):
+    if last_c_p != odd:
         bad.append("rightmost-column c+ count")
-    if last_c_m != (1 if l % 2 == 0 else 0):
+    if last_c_m != (not odd):
         bad.append("rightmost-column c- count")
     wall = segments[0]
-    for i, pos in enumerate(state.turn_positive):
-        if (wall[2 * i], wall[2 * i + 1]) != (not pos, pos):
-            bad.append(f"turn {i} heights")
+    if wall[1::2] != turns or wall[::2] != tuple(map(not_, turns)):
+        bad += [f"turn {i} heights" for i, pos in enumerate(turns)
+                if (wall[2 * i], wall[2 * i + 1]) != (not pos, pos)]
     return bad
 
 

@@ -39,10 +39,12 @@ class NearSingularError(ArithmeticError):
 def theta(x: complex, p: complex) -> complex:
     """Infinite product theta(x, p) = prod (1 - p^j x)(1 - p^(j+1)/x).
 
-    Truncated once |p|^j * max(|x|, 1/|x|) drops below 1e-17, giving at
-    least 1e-12 relative accuracy for |p| <= 0.9.  The last ``_THETA_MEMO``
-    distinct arguments are memoized; ``theta.__wrapped__`` is the product
-    itself.
+    Each factor is taken as 1 - p^j (s - p^(j+1)) with s = x + p/x, its
+    expansion, which costs five complex operations against seven for the
+    two factors.  Truncated once |p|^j * max(|x|, 1/|x|) drops below 1e-17,
+    giving at least 1e-12 relative accuracy for |p| <= 0.9.  The last
+    ``_THETA_MEMO`` distinct arguments are memoized; ``theta.__wrapped__``
+    is the product itself.
     """
     if x == 0:
         raise ValueError("theta is singular at x = 0")
@@ -50,12 +52,12 @@ def theta(x: complex, p: complex) -> complex:
     if ap >= 1:
         raise ValueError("the nome must satisfy |p| < 1")
     scale = ap * max(abs(x), 1 / abs(x), 1.0)
+    s = x + p / x
     result = 1 + 0j
     pj = 1 + 0j
-    inv_x = 1 / x
     for _ in range(_MAX_TERMS):
         pj_next = pj * p
-        result *= (1 - pj * x) * (1 - pj_next * inv_x)
+        result *= 1 - pj * (s - pj_next)
         pj = pj_next
         if not scale >= _TAIL:  # NaN stops here too
             break

@@ -12,7 +12,8 @@ Four families of checks:
   and at the quarter point where it collapses onto the determinant route
   through the exact polynomials;
 * exact structural invariants of every enumerated state, each state
-  checked by ``lattice.state_violations``.
+  checked by ``lattice.state_violations``: ``lattice_suite``, defined in
+  ``worker`` and re-exported here.
 
 Every report carries the worst relative residual over the requested trials
 and a pass flag at the suite's tolerance.
@@ -23,36 +24,23 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from math import comb
 from typing import NamedTuple
 
 from .exact import Poly
-from .lattice import CountTable, count_table, enumerate_states, state_violations
+from .lattice import CountTable, count_table
 from .pn import pn_consistent
 from .theta import (OMEGA, TWO_PI_I, ModelParams, ParamSampler,
                     partition_filali, partition_transfer, psi_numeric, resample,
                     theta, theta_pm, x_numeric)
 from .tpoly import g_eval, t_prefactor
+# The lattice suite lives with its worker, which must not load theta; its
+# names stay importable from here.
+from .worker import IdentityReport, lattice_suite, state_violations  # noqa: F401
 
 POINTWISE_TOL = 1e-10
 DETERMINANT_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    name: str
-    trials: int
-    max_rel_residual: float
-    passed: bool
-
-    def to_record(self) -> dict:
-        return {
-            "name": self.name,
-            "trials": self.trials,
-            "max_rel_residual": self.max_rel_residual,
-            "pass": self.passed,
-        }
 
 
 def relerr(a: complex, b: complex) -> float:
@@ -364,23 +352,4 @@ def specialization_suite(sampler: ParamSampler, trials: int = 5,
         for label, value in zip(SpecializationDraw._fields, map(_worst, zip(*draws))):
             reports.append(IdentityReport(f"{label}_n{n}", trials, value,
                                           value <= DETERMINANT_TOL))
-    return reports
-
-
-# ---------------------------------------------------------------------------
-# exact structural invariants of the enumeration
-
-
-def lattice_suite(max_n: int = 3) -> list[IdentityReport]:
-    reports = []
-    for n in range(1, max_n + 1):
-        states = 0
-        failures = 0
-        for state in enumerate_states(n):
-            states += 1
-            if state_violations(state):
-                failures += 1
-        reports.append(
-            IdentityReport(f"state_invariants_n{n}", states, float(failures),
-                           failures == 0))
     return reports

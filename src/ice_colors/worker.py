@@ -1,15 +1,20 @@
-"""The lattice suite in a forked worker process, for ``ice-colors verify``.
+"""The lattice suite, and the forked worker that runs it for
+``ice-colors verify``.
 
-The lattice suite shares no state with the sampler suites, so ``verify``
-runs it in a child made by ``os.fork`` (POSIX only, like the ``SIGALRM``
-timer of ``--time-budget``) while it runs the sampler suites itself.  The
-child sends the records of its reports back as JSON through a pipe; it
-never writes to stdout and ends in ``os._exit`` on every path.  A worker
-that cannot start or does not exit 0 raises ``ChildProcessError`` with a
+``lattice_suite`` checks every enumerated state of each size by
+``lattice.state_violations``; it and its ``IdentityReport`` live here,
+apart from the numeric layer, and ``verify`` re-exports both.  The suite
+shares no state with the sampler suites, so ``verify`` forks its worker
+first, before it loads ``theta`` and ``verify`` (the worker needs neither),
+and runs the sampler suites while the worker runs.  The child is made by
+``os.fork`` (POSIX only, like the ``SIGALRM`` timer of ``--time-budget``)
+and sends the records of its reports back as JSON through a pipe; it never
+writes to stdout and ends in ``os._exit`` on every path.  A worker that
+cannot start or does not exit 0 raises ``ChildProcessError`` with a
 one-line message.  The parent kills and reaps a worker still running when
 it leaves the ``with`` block, whatever ends it; a worker whose parent died
-without that exits by itself.  The library functions of ``verify`` stay
-in-process.
+without that exits by itself.  Called directly, ``lattice_suite`` runs in
+the caller's process.
 """
 
 from __future__ import annotations
@@ -19,6 +24,42 @@ import os
 import signal
 import sys
 from contextlib import contextmanager
+from dataclasses import dataclass
+
+from .lattice import enumerate_states, state_violations
+
+
+@dataclass(frozen=True)
+class IdentityReport:
+    name: str
+    trials: int
+    max_rel_residual: float
+    passed: bool
+
+    def to_record(self) -> dict:
+        return {
+            "name": self.name,
+            "trials": self.trials,
+            "max_rel_residual": self.max_rel_residual,
+            "pass": self.passed,
+        }
+
+
+def lattice_suite(max_n: int = 3) -> list[IdentityReport]:
+    """One report per size up to ``max_n``: its states, and how many of
+    them break a rule."""
+    reports = []
+    for n in range(1, max_n + 1):
+        states = 0
+        failures = 0
+        for state in enumerate_states(n):
+            states += 1
+            if state_violations(state):
+                failures += 1
+        reports.append(
+            IdentityReport(f"state_invariants_n{n}", states, float(failures),
+                           failures == 0))
+    return reports
 
 
 @contextmanager
@@ -34,14 +75,12 @@ def _alarm_blocked():
 
 def _serve(max_n: int, writer, parent: int) -> None:
     """The worker's whole life: send the records of
-    ``verify.lattice_suite(max_n)`` as JSON, then ``os._exit``.
+    ``lattice_suite(max_n)`` as JSON, then ``os._exit``.
 
     A parent ended by a signal it does not handle (SIGKILL, or SIGTERM,
     whose default action ends it) runs no cleanup, so every half second of
     its own CPU time the worker exits if ``parent`` is no longer its parent.
     """
-    from . import verify
-
     def exit_if_orphaned(signum, frame):
         if os.getppid() != parent:
             os._exit(1)
@@ -50,7 +89,7 @@ def _serve(max_n: int, writer, parent: int) -> None:
         signal.signal(signal.SIGVTALRM, exit_if_orphaned)
         signal.setitimer(signal.ITIMER_VIRTUAL, 0.5, 0.5)
         writer.write(json.dumps(
-            [r.to_record() for r in verify.lattice_suite(max_n=max_n)]).encode())
+            [r.to_record() for r in lattice_suite(max_n=max_n)]).encode())
         writer.close()
         os._exit(0)
     except BaseException:

@@ -10,10 +10,10 @@ from pathlib import Path
 import pytest
 
 import ice_colors
-from ice_colors import cli, pn, verify
+from ice_colors import cli, pn, verify, worker
 from ice_colors.cli import build_parser, main, run
 from ice_colors.exact import SingularInputError
-from ice_colors.lattice import LatticeState, enumerate_states
+from ice_colors.lattice import LatticeState, enumerate_states, render_state
 from ice_colors.theta import NearSingularError, ParamSampler
 
 
@@ -98,6 +98,48 @@ def test_enumerate_dump_n3_is_pinned(capsys):
         "de84295cef4764ac6bb36b7aa0e958c08552343d5002a614c1fe6f1f35391cba")
 
 
+DUMP_SHA256 = {
+    1: "63d49cebe2faab498bc0b1b2f65c5bc70aeca7ced06ec44f264ce027909e8f86",
+    2: "0b422aa04d5321915e6d5b51082f8712a64a1cc906126ae39dd222e5ded5cb9d",
+    3: "de84295cef4764ac6bb36b7aa0e958c08552343d5002a614c1fe6f1f35391cba",
+    4: "e1b8e67fc18629cf0b8032ce8b489d3468a8667cb3b7bc2206f6c97efca48356",
+}
+
+
+@pytest.mark.parametrize("n", sorted(DUMP_SHA256))
+def test_streamed_dump_is_pinned_on_stdout_and_file(tmp_path, capsys, n):
+    # The dump is written state by state; stdout and --output still get the
+    # bytes of the whole report as one string.
+    code, out, err = run_cli(capsys, "enumerate", "--n", str(n), "--dump")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == DUMP_SHA256[n]
+    target = tmp_path / "dump.txt"
+    assert run_cli(capsys, "enumerate", "--n", str(n), "--dump",
+                   "--output", str(target)) == (0, "", "")
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == DUMP_SHA256[n]
+
+
+def test_dump_is_written_as_it_is_made():
+    # The n = 6 walk takes hours: what the budget lets it make is written,
+    # from the first state on, before the run exits 2.
+    src = str(Path(ice_colors.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "ice_colors.cli", "enumerate", "--n", "6", "--dump",
+         "--time-budget", "0.5"],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stderr) == (2, "time budget exhausted\n")
+    assert done.stdout.startswith(render_state(next(enumerate_states(6))) + "\n")
+
+
+def test_dump_usage_error_opens_no_file(tmp_path, capsys):
+    target = tmp_path / "dump.txt"
+    code, out, err = run_cli(capsys, "enumerate", "--n", "0", "--dump",
+                             "--output", str(target))
+    assert (code, out, err) == (2, "", "n must be >= 1\n")
+    assert not target.exists()
+
+
 def test_verify_deterministic(capsys):
     args = ("verify", "--suite", "theta", "--trials", "100", "--seed", "7")
     code_a, out_a, _ = run_cli(capsys, *args)
@@ -134,7 +176,7 @@ def test_state_breaking_lattice_rules_is_reported(capsys, monkeypatch):
     state = next(iter(enumerate_states(1)))
     flipped = (state.up[0][0], not state.up[0][1], state.up[0][2])
     broken = LatticeState(1, state.right, (flipped,), state.turn_positive)
-    monkeypatch.setattr(verify, "enumerate_states", lambda n: iter([broken]))
+    monkeypatch.setattr(worker, "enumerate_states", lambda n: iter([broken]))
     code, out, err = run_cli(capsys, "verify", "--suite", "lattice", "--n", "1")
     assert (code, err) == (1, "")
     assert json.loads(out) == [{"name": "state_invariants_n1", "trials": 1,
@@ -171,9 +213,33 @@ def _raises(max_n):
     (_killed_by_sigkill, "lattice worker killed by SIGKILL\n"),
 ], ids=["raises", "sigkill"])
 def test_failed_lattice_worker_exits_2(capsys, monkeypatch, suite, status):
-    monkeypatch.setattr(verify, "lattice_suite", suite)
+    monkeypatch.setattr(worker, "lattice_suite", suite)
     for argv in (("--suite", "lattice"), ("--suite", "all", "--trials", "1")):
         assert run_cli(capsys, "verify", *argv, "--n", "2") == (2, "", status)
+
+
+def test_lattice_worker_forks_before_the_numeric_layer_loads():
+    # The worker is forked before verify loads theta, so it never holds the
+    # numeric layer.  pytest's own process has loaded theta already, so the
+    # run is made in a fresh interpreter.
+    src = str(Path(ice_colors.__file__).resolve().parents[1])
+    script = """
+import sys
+from ice_colors import cli, worker
+suite = worker.lattice_suite
+def checked(max_n):
+    loaded = {'ice_colors.theta', 'ice_colors.verify'} & set(sys.modules)
+    assert not loaded, sorted(loaded)
+    return suite(max_n)
+worker.lattice_suite = checked
+cli.main(['verify', '--suite', 'all', '--n', '2', '--trials', '4'])
+"""
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stderr) == (0, "")
+    records = json.loads(done.stdout)
+    assert [r["name"] for r in records[:3]] == [
+        "state_invariants_n1", "state_invariants_n2", "addition_rule"]
 
 
 @pytest.fixture

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from collections import Counter
 from itertools import product
 from math import comb
@@ -276,6 +278,77 @@ def single_corruptions(s):
         turns = list(s.turn_positive)
         turns[i] = not turns[i]
         yield LatticeState(n, s.right, s.up, tuple(turns))
+
+
+def reshaped(s):
+    """``s`` with one row, column or turn too many or too few, one row or
+    column a segment too short or too long, or the wrong ``n``."""
+    n, right, up, turns = s
+    yield LatticeState(n, right[:-1], up, turns)
+    yield LatticeState(n, right + right[-1:], up, turns)
+    yield LatticeState(n, right[:-1] + (right[-1][:-1],), up, turns)
+    yield LatticeState(n, right[:-1] + (right[-1] + (True,),), up, turns)
+    yield LatticeState(n, right, up[:-1], turns)
+    yield LatticeState(n, right, up + up[-1:], turns)
+    yield LatticeState(n, right, up[:-1] + (up[-1][:-1],), turns)
+    yield LatticeState(n, right, (up[0] + (False,),) + up[1:], turns)
+    yield LatticeState(n, right, up, turns[:-1])
+    yield LatticeState(n, right, up, turns + (True,))
+    yield LatticeState(n + 1, right, up, turns)
+    yield LatticeState(n - 1, right, up, turns)
+
+
+def frozen_cases():
+    """Every n <= 3 state, each of its single corruptions and reshapes, and
+    for n <= 2 each of its double corruptions (two distinct reversals)."""
+    for n in (1, 2, 3):
+        for s in enumerate_states(n):
+            yield s
+            yield from single_corruptions(s)
+            yield from reshaped(s)
+    for n in (1, 2):
+        for s in enumerate_states(n):
+            for i, once in enumerate(single_corruptions(s)):
+                yield from list(single_corruptions(once))[i + 1:]
+
+
+# state_violations's message list for each of frozen_cases(), recorded from
+# its per-vertex-classifying predecessor: how often each list occurs, and
+# the digest of all of them in order.
+FROZEN_VIOLATIONS = {
+    '["face count"]': 2664,
+    '["arrow pattern (True, True, False, True) breaks the ice rule"]': 2287,
+    '["arrow pattern (True, True, True, False) breaks the ice rule"]': 2133,
+    '["arrow pattern (False, True, True, True) breaks the ice rule"]': 1922,
+    '["arrow pattern (True, False, False, False) breaks the ice rule"]': 1838,
+    '["arrow pattern (True, False, True, True) breaks the ice rule"]': 1692,
+    '["arrow pattern (False, False, True, False) breaks the ice rule"]': 1474,
+    '["arrow pattern (False, True, False, False) breaks the ice rule"]': 944,
+    '["arrow pattern (False, False, False, True) breaks the ice rule"]': 572,
+    '["c+ / c- / k- census identity", "turn 0 heights"]': 229,
+    '["c+ / c- / k- census identity", "turn 1 heights"]': 227,
+    '[]': 222,
+    '["c+ / c- / k- census identity", "turn 2 heights"]': 208,
+    '["arrow pattern (True, False, True, False) breaks the ice rule"]': 51,
+    '["arrow pattern (False, True, False, True) breaks the ice rule"]': 35,
+    '["b+ / b- census identity", "c+ / c- / k- census identity", '
+    '"rightmost-column b census", "rightmost-column c- count"]': 14,
+    '["b+ / b- census identity", "c+ / c- / k- census identity", '
+    '"rightmost-column b census", "rightmost-column c+ count"]': 14,
+    '["c+ / c- / k- census identity", "turn 0 heights", "turn 1 heights"]': 6,
+    '["turn 0 heights", "turn 1 heights"]': 6,
+    '["expected one left arrow at segment 0, found rows [0, 1]"]': 2,
+    '["expected one left arrow at segment 0, found rows []"]': 2,
+}
+FROZEN_VIOLATIONS_SHA256 = (
+    "d715e2bd5b085dc0b6f9d058acd19483f0d5530f2ef7a0615b556bec233e51ce")
+
+
+def test_state_violations_output_is_frozen():
+    found = [state_violations(s) for s in frozen_cases()]
+    assert Counter(map(json.dumps, found)) == FROZEN_VIOLATIONS
+    assert hashlib.sha256(json.dumps(found).encode()).hexdigest() == (
+        FROZEN_VIOLATIONS_SHA256)
 
 
 def test_corrupt_edge_breaks_classification():

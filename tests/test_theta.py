@@ -21,9 +21,42 @@ def sampler():
 
 def test_theta_zero_nome_is_linear():
     s = sampler()
-    for _ in range(10):
-        x = s.unit()
-        assert theta(x, 0j) == 1 - x
+    for x in [s.unit() for _ in range(10)] + [1.3e8 + 0j, 1 / 1.3e8, -2.5, 3j]:
+        for p in (0j, 0, 0.0):
+            assert theta(x, p) == 1 - x, (x, p)
+
+
+def two_factor_theta(x, p):
+    """theta as the product of both factors of each j, truncated as theta
+    truncates: the form that theta's expanded factor replaced."""
+    ap = abs(p)
+    scale = ap * max(abs(x), 1 / abs(x), 1.0)
+    result, pj = 1 + 0j, 1 + 0j
+    for _ in range(2000):
+        result *= (1 - pj * x) * (1 - pj * p / x)
+        pj *= p
+        if not scale >= 1e-17:
+            break
+        scale *= ap
+    return result
+
+
+def test_expanded_factor_matches_two_factor_product():
+    # The sampler's boxes, their cubes as the triple-product and G-bridge
+    # checks take them, and moduli out to 1.3e8 either way, as verify's
+    # cubed exponentials reach, with |p| <= 0.3.
+    s, rng = sampler(), random.Random(11)
+    args = []
+    for _ in range(400):
+        x, p = s.unit(), s.nome()
+        args += [(x, p), ((x * s.unit()) ** 3, p**3)]
+    for _ in range(800):
+        x = 10 ** rng.uniform(-8.12, 8.12) * cmath.exp(2j * cmath.pi * rng.random())
+        args.append((x, rng.uniform(0, 0.3) * cmath.exp(2j * cmath.pi * rng.random())))
+    args += [(x, 0.3 * u) for x in (1.3e8 + 0j, 1 / 1.3e8 + 0j, -1.3e8j)
+             for u in (1, -1, 1j, OMEGA)]
+    for x, p in args:
+        assert relerr(theta.__wrapped__(x, p), two_factor_theta(x, p)) <= 1e-13, (x, p)
 
 
 def test_theta_vanishes_at_one():
