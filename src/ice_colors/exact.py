@@ -1,5 +1,6 @@
 """Exact arithmetic substrate: rational polynomial values, fraction-free
-integer determinants and Newton interpolation.
+integer determinants and interpolation at consecutive integers by integer
+finite differences.
 
 Rationals are ``fractions.Fraction`` (arbitrary precision, canonical
 form); callers that can work in plain integers do so and make one
@@ -13,6 +14,7 @@ few sums and products the package needs are written over plain ``int`` or
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 
@@ -100,24 +102,28 @@ def det_exact(matrix: Sequence[Sequence[int]]) -> int:
 
 
 def interpolate(points: Sequence[tuple]) -> Poly:
-    """Unique polynomial of degree < len(points) through the given points.
-
-    Newton's divided differences, exact over Fraction.  Duplicate abscissae
-    raise :class:`SingularInputError`.
-    """
+    """Unique polynomial of degree < k through k points at consecutive
+    increasing integers x0, x0+1, ...  The forward differences d_j of the
+    values over their common denominator L are integers, and so is the
+    Newton form sum_j d_j (z-x0)...(z-x0-j+1) (k-1)!/j!, expanded by
+    Horner's rule; each coefficient is one Fraction over L (k-1)!.  A
+    duplicate abscissa raises SingularInputError, other spacing ValueError."""
     xs = [_frac(x) for x, _ in points]
-    ys = [_frac(y) for _, y in points]
     if len(set(xs)) != len(xs):
         raise SingularInputError("duplicate abscissa in interpolation data")
-    coeffs = list(ys)
-    for level in range(1, len(xs)):
-        for i in range(len(xs) - 1, level - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])
-    # Horner expansion of the Newton form: times (z - x_i), then plus c_i.
-    acc: list[Fraction] = []
-    for x, c in zip(reversed(xs), reversed(coeffs)):
-        acc.insert(0, Fraction(0))
-        for j in range(len(acc) - 1):
-            acc[j] -= x * acc[j + 1]
-        acc[0] += c
-    return Poly(acc)
+    x0 = xs[0].numerator if xs else 0
+    if xs != list(range(x0, x0 + len(xs))):
+        raise ValueError("abscissae are not consecutive increasing integers")
+    ys = [_frac(y) for _, y in points]
+    scale = lcm(*(y.denominator for y in ys))
+    diffs = [y.numerator * (scale // y.denominator) for y in ys]
+    for level in range(1, len(diffs)):  # diffs[j] becomes the j-th difference
+        for i in range(len(diffs) - 1, level - 1, -1):
+            diffs[i] -= diffs[i - 1]
+    acc: list[int] = []
+    weight = 1  # (k-1)!/j! at step j
+    for j in reversed(range(len(diffs))):
+        # times (z - x0 - j), plus the scaled d_j
+        acc = [a - (x0 + j) * b for a, b in zip([weight * diffs[j]] + acc, acc + [0])]
+        weight *= max(j, 1)
+    return Poly(Fraction(c, scale * weight) for c in acc)

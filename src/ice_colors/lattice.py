@@ -223,8 +223,8 @@ def state_violations(state: LatticeState) -> list[str]:
     left-arrow and turn tests are tuple methods and slice compares, and a
     message is built only for a rule that fails."""
     n, right, up, turns = state
-    shape = [*map(len, right), *map(len, up), len(turns)]
-    if shape != [n + 1] * (2 * n) + [2 * n + 1] * n + [n]:
+    if (n < 1 or [*map(len, right)] != [n + 1] * (2 * n)
+            or [*map(len, up)] != [2 * n + 1] * n or len(turns) != n):
         return ["face count"]
     segments = tuple(zip(*right))  # horizontal arrows per segment, bottom-up
     try:

@@ -8,17 +8,19 @@ binomial expansions with integer coefficients, so the sum is accumulated in
 plain integers.  A nonzero count at an exponent outside ``[0, n(n-1)/2]``
 makes the sum a non-polynomial, which marks corrupt input.  The raw sum
 equals a binomial coefficient times one and the same polynomial for every
-variant and every admissible number of positive turns.  Dividing by the
-binomial and comparing across variants, and against the determinant route,
-is the strongest end-to-end check this model admits.
+variant and every admissible number of positive turns.  Comparing the
+sums across variants in integers, each times the other's binomial, and
+the first one over its binomial against the determinant route, is the
+strongest end-to-end check this model admits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import zip_longest
 from math import comb, lcm
+from typing import NamedTuple
 
 from .exact import Poly, SingularInputError, format_fraction
 from .lattice import CountTable, count_table
@@ -29,11 +31,11 @@ class ConsistencyError(AssertionError):
     """The exact cross-checks between formulas failed."""
 
 
-@dataclass(frozen=True)
-class CountFormula:
+class CountFormula(NamedTuple):
     """One of the three count formulas: which color enters, which binomial
     scales the polynomial, which neighbouring rows are summed, and the
-    exponent law (returned times 3, so integrality can be asserted)."""
+    exponent law (returned times 3, so integrality can be asserted).  A
+    ``NamedTuple``, which is cheaper to define at import than a dataclass."""
 
     tag: str
     color: int
@@ -51,8 +53,7 @@ class CountFormula:
     def exponent_numerator(self, n: int, m: int, l: int, k: int) -> int:
         """Three times the power of z(z-1) in the term of row ``l`` with
         ``k`` faces of this color."""
-        c = 3 if n % 3 in (0, 1) else 1
-        d = 0 if n % 3 in (0, 1) else 1
+        c, d = (3, 0) if n % 3 in (0, 1) else (1, 1)
         if self.tag == "A":
             return 3 * k - n * n - 6 * n + l - c
         if self.tag == "B":
@@ -65,29 +66,22 @@ VARIANT_B = CountFormula("B", 1)
 VARIANT_C = CountFormula("C", 2)
 VARIANTS = (VARIANT_A, VARIANT_B, VARIANT_C)
 
-def _convolve(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(u) + len(v) - 1)
-    for i, x in enumerate(u):
-        if x:
-            for j, y in enumerate(v, i):
-                out[j] += x * y
-    return tuple(out)
-
 
 @cache
 def _term(a: int, b: int) -> tuple[int, ...]:
     """Ascending integer coefficients of z^a (z-1)^a (z+1)^b."""
-    shifted_minus = (0,) * a + tuple(comb(a, i) * (-1) ** (a - i)
-                                     for i in range(a + 1))
-    return _convolve(shifted_minus, tuple(comb(b, j) for j in range(b + 1)))
+    out = [0] * (2 * a + b + 1)
+    plus = [comb(b, j) for j in range(b + 1)]
+    for i in range(a + 1):
+        minus = comb(a, i) * (-1) ** (a - i)
+        for j, y in enumerate(plus, a + i):
+            out[j] += minus * y
+    return tuple(out)
 
 
-def _assemble(sums: dict[int, int], n: int) -> Poly:
-    """Sum of c * P^e * Q^(n(n-1)-2e) over ``{e: c}``, exact, where
-    P = z(z-1) and Q = z+1.
-
-    Each term is the integer expansion ``z^e (z-1)^e (z+1)^(n(n-1)-2e)``,
-    so the sum is accumulated in plain integers and made a ``Poly`` once.
+def _assemble(sums: dict[int, int], n: int) -> list[int]:
+    """Ascending integer coefficients of the sum of c * P^e * Q^(n(n-1)-2e)
+    over ``{e: c}``, P = z(z-1) and Q = z+1, one ``_term`` per exponent.
     A nonzero count below exponent 0 (above n(n-1)/2) is rejected as
     non-polynomial: P and Q are coprime, so the lowest (highest) such term
     leaves P (Q) in the denominator of the whole sum.
@@ -100,49 +94,53 @@ def _assemble(sums: dict[int, int], n: int) -> Poly:
         if not 0 <= 2 * e <= top:
             raise SingularInputError(
                 f"exponent {e} outside [0, {top}/2] has a nonzero count")
-        for i, t in enumerate(_term(e, top - 2 * e)):
-            acc[i] += c * t
-    return Poly(acc)
+        acc = [a + c * t for a, t in zip(acc, _term(e, top - 2 * e))]
+    return acc
 
 
-def pn_from_counts(table: CountTable, n: int, m: int,
-                   variant: CountFormula) -> Poly:
-    """Raw variant sum (the binomial times the polynomial), exact.
+def _raw_sum(table: CountTable, n: int, m: int, variant: CountFormula) -> list[int]:
+    """``pn_from_counts`` as ascending integer coefficients.
 
-    One pass over the cells with ``m`` positive turns: a cell in row ``l'``
-    enters row ``l = l' - off`` for the one row offset (the two differ by
-    one) with ``l`` congruent to ``n`` mod 3, signed by the parity of
-    ``n + l``; signed counts are summed per exponent.  Every nonzero term
-    must have an exponent divisible by 3.
+    A cell in row ``l'`` enters row ``l = l' - off`` for the one row offset
+    (the two differ by one) with ``l`` congruent to ``n`` mod 3, signed by
+    the parity of ``n + l``.  Each distinct row's ``l``, sign and exponent
+    shift are found once per call, so a cell adds its signed count at
+    3k + shift, three times its exponent; each distinct exponent is tested
+    once for divisibility by 3, at the first nonzero cell that has it.
     """
     if table.n != n:
         raise ValueError("count table does not match n")
     if not 0 <= m <= n:
         raise ValueError("m out of range")
-    offsets = variant.row_offsets()
-    sums: dict[int, int] = {}
-    for (cell_m, row, *ks), cnt in table.counts.items():
-        if cell_m != m or not cnt:
-            continue
-        for off in offsets:
-            l = row - off
-            if (l - n) % 3:
-                continue
-            k = ks[variant.color]
-            e_num = variant.exponent_numerator(n, m, l, k)
-            if e_num % 3:
+    col, rows, sums = 2 + variant.color, {}, {}
+    for row in {key[1] for key in table.counts}:
+        for off in variant.row_offsets():
+            if (row - off - n) % 3 == 0:
+                l = row - off
+                rows[row] = (variant.exponent_numerator(n, m, l, 0), -1 if (n + l) % 2 else 1, l)
+    for key, cnt in table.counts.items():
+        if key[0] == m and cnt and key[1] in rows:
+            shift, sign, l = rows[key[1]]
+            e3 = 3 * key[col] + shift
+            if e3 in sums:
+                sums[e3] += sign * cnt
+            elif e3 % 3:
                 raise ConsistencyError(
-                    f"variant {variant.tag}, m={m}, l={l}, k={k}: "
-                    f"non-integer exponent {e_num}/3 on a nonzero term"
-                )
-            e = e_num // 3
-            sums[e] = sums.get(e, 0) + (-cnt if (n + l) % 2 else cnt)
+                    f"variant {variant.tag}, m={m}, l={l}, k={key[col]}: "
+                    f"non-integer exponent {e3}/3 on a nonzero term")
+            else:
+                sums[e3] = sign * cnt
     try:
-        return _assemble(sums, n)
+        return _assemble({e3 // 3: c for e3, c in sums.items()}, n)
     except SingularInputError as err:
         raise ConsistencyError(
             f"variant {variant.tag}, m={m}: sum does not reduce to a polynomial"
         ) from err
+
+
+def pn_from_counts(table: CountTable, n: int, m: int, variant: CountFormula) -> Poly:
+    """Raw variant sum (the binomial times the polynomial), exact."""
+    return Poly(_raw_sum(table, n, m, variant))
 
 
 def pn_consistent(n: int, table: CountTable | None = None) -> Poly:
@@ -150,7 +148,8 @@ def pn_consistent(n: int, table: CountTable | None = None) -> Poly:
     determinant route, with exact agreement enforced.
 
     The table is split by m in one pass, in insertion order, so each
-    variant/m sum reads only its own cells.
+    variant/m sum reads only its own cells.  Every sum is formed before any
+    is compared, in integers: raw * binom_ref == raw_ref * binom.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -160,23 +159,22 @@ def pn_consistent(n: int, table: CountTable | None = None) -> Poly:
     for key, cnt in table.counts.items():
         if key[0] in by_m:
             by_m[key[0]].counts[key] = cnt
-    results: dict[str, Poly] = {}
+    raws = []
     for variant in VARIANTS:
         for m in range(n + 1):
-            raw = pn_from_counts(by_m[m], n, m, variant)
+            raw = _raw_sum(by_m[m], n, m, variant)
             binom = variant.binomial(n, m)
             label = f"{variant.tag}:m={m}"
-            if binom == 0:
-                if not raw.is_zero():
-                    raise ConsistencyError(
-                        f"{label}: zero binomial but nonzero sum "
-                        f"{[format_fraction(c) for c in raw.coeffs]}"
-                    )
-                continue
-            results[label] = Poly(c / binom for c in raw.coeffs)
-    reference_label, reference = next(iter(results.items()))
-    for label, poly in results.items():
-        if poly != reference:
+            if binom == 0 and any(raw):
+                coeffs = [format_fraction(c) for c in Poly(raw).coeffs]
+                raise ConsistencyError(f"{label}: zero binomial but nonzero sum {coeffs}")
+            if binom:
+                raws.append((label, raw, binom))
+    reference_label, reference_raw, reference_binom = raws[0]
+    reference = Poly(Fraction(c, reference_binom) for c in reference_raw)
+    for label, raw, binom in raws:
+        if any(a * reference_binom != b * binom for a, b in zip(raw, reference_raw)):
+            poly = Poly(Fraction(c, binom) for c in raw)
             raise ConsistencyError(_divergence(reference_label, reference, label, poly))
     via_t = pn_via_T(n)
     if via_t != reference:
@@ -187,13 +185,9 @@ def pn_consistent(n: int, table: CountTable | None = None) -> Poly:
 
 
 def _divergence(label_a: str, a: Poly, label_b: str, b: Poly) -> str:
-    width = max(len(a.coeffs), len(b.coeffs))
-    diffs = []
-    for i in range(width):
-        ca = a.coeffs[i] if i < len(a.coeffs) else Fraction(0)
-        cb = b.coeffs[i] if i < len(b.coeffs) else Fraction(0)
-        if ca != cb:
-            diffs.append(f"z^{i}: {format_fraction(ca)} vs {format_fraction(cb)}")
+    diffs = [f"z^{i}: {format_fraction(ca)} vs {format_fraction(cb)}"
+             for i, (ca, cb) in enumerate(zip_longest(a.coeffs, b.coeffs, fillvalue=0))
+             if ca != cb]
     return f"{label_a} and {label_b} disagree at " + "; ".join(diffs)
 
 

@@ -65,13 +65,13 @@ class PsiPoint:
     psi: Fraction
 
     def __post_init__(self):
-        if self.psi in (Fraction(0), Fraction(-1), Fraction(-1, 2)):
+        if self.psi in (0, -1, Fraction(-1, 2)):
             raise ValueError("psi in {0, -1, -1/2} degenerates the specialization")
 
     @staticmethod
     def from_z(z: Fraction) -> "PsiPoint":
         z = Fraction(z)
-        if z in (Fraction(0), Fraction(1), Fraction(-1)):
+        if z in (0, 1, -1):
             raise ValueError("z in {0, 1, -1} is not an admissible sample")
         return PsiPoint(Fraction(-(1 + z), 2 * z))
 
@@ -137,21 +137,19 @@ def t_prefactor(psi, n: int):
 def pn_via_T(n: int) -> Poly:
     """Reconstruct the degree-n(n-1) polynomial from the T specialization.
 
-    For each rational sample z, psi = -(1+z)/(2z) makes -1/(2*psi+1) = z;
-    dividing the coalesced T value by the prefactor gives the polynomial
-    value at z.  One extra sample guards the interpolation degree.
+    At each z = 2..n(n-1)+3, psi = -(1+z)/(2z) makes -1/(2*psi+1) = z, and
+    the coalesced T value over the prefactor is the polynomial's value.
+    ``interpolate`` takes these consecutive nodes; the one beyond the degree
+    guards it: the interpolant's degree must not exceed n(n-1).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     deg = n * (n - 1)
-    zs = [Fraction(z) for z in range(2, 2 + deg + 2)]
     samples = []
-    for z in zs:
+    for z in range(2, deg + 4):
         point = PsiPoint.from_z(z)
-        value = t_at_specialization(point, n) / t_prefactor(point.psi, n)
-        samples.append((z, value))
-    poly = interpolate(samples[:-1])
-    zx, yx = samples[-1]
-    if poly(zx) != yx:
+        samples.append((z, t_at_specialization(point, n) / t_prefactor(point.psi, n)))
+    poly = interpolate(samples)
+    if poly.degree > deg:
         raise SingularInputError("specialized T is not polynomial of expected degree")
     return poly

@@ -18,7 +18,10 @@ which weighs each distinct row fill once per draw
 (``theta.partition_transfer``).  Likewise the ratio T
 is evaluated here from its definition at distinct arguments, and its value
 at repeated arguments as a perturbation limit, apart from the package's
-confluent formula (``tpoly.t_at_specialization``).  The count sums and the
+confluent formula (``tpoly.t_at_specialization``), and interpolated by
+divided differences at any distinct abscissae (``newton_interpolate``),
+apart from the package's integer finite differences at consecutive
+integers (``exact.interpolate``).  The count sums and the
 symmetry image (``symmetry_image``) are built here from powers over
 ``Fraction``, by this module's own coefficient-list arithmetic
 (``poly_add``, ``poly_mul``, ``poly_pow``, ``poly_divmod``), apart from the
@@ -287,6 +290,26 @@ def t_perturbation_limit(targets, psi) -> Fraction:
         total += value * prod((Fraction(s, s - t) for s in values if s != t),
                               start=Fraction(1))
     return total
+
+
+def newton_interpolate(points) -> list[Fraction]:
+    """Ascending coefficients of the polynomial of degree < len(points)
+    through the points, at any distinct abscissae: Newton's divided
+    differences over Fraction, expanded from the Newton form by Horner's
+    rule.  The package interpolates at consecutive integers only, by
+    integer finite differences (``exact.interpolate``)."""
+    xs = [Fraction(x) for x, _ in points]
+    coeffs = [Fraction(y) for _, y in points]
+    for level in range(1, len(xs)):
+        for i in range(len(xs) - 1, level - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])
+    acc: list[Fraction] = []
+    for x, c in zip(reversed(xs), reversed(coeffs)):
+        acc.insert(0, Fraction(0))  # times (z - x), then plus c
+        for j in range(len(acc) - 1):
+            acc[j] -= x * acc[j + 1]
+        acc[0] += c
+    return acc
 
 
 # Polynomials below are ascending coefficient lists over Fraction; trailing

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from ice_colors.exact import (Poly, SingularInputError, det_exact,
                               format_fraction, interpolate)
 
-from oracles import (cofactor_det, poly_add, poly_divmod, poly_exact_div,
-                     poly_mul, poly_pow)
+from oracles import (cofactor_det, newton_interpolate, poly_add, poly_divmod,
+                     poly_exact_div, poly_mul, poly_pow)
 
 fractions = st.fractions(min_value=-6, max_value=6, max_denominator=12)
 small_polys = st.lists(fractions, max_size=5)
@@ -63,6 +63,28 @@ def test_interpolate_round_trip(coeffs):
     poly = Poly(coeffs)
     xs = [Fraction(k) for k in range(len(coeffs) + 1)]
     assert interpolate([(x, poly(x)) for x in xs]) == poly
+
+
+@settings(max_examples=150)
+@given(st.integers(-30, 30),
+       st.lists(st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4),
+                min_size=1, max_size=9))
+def test_interpolate_matches_newton_oracle(start, values):
+    # Rational values at k consecutive integers from any start, negative too.
+    points = [(start + i, y) for i, y in enumerate(values)]
+    assert interpolate(points) == Poly(newton_interpolate(points))
+
+
+@pytest.mark.parametrize("points", [
+    [(0, 1), (2, 3)],                          # a gap
+    [(0, 0), (1, 1), (3, 9)],                  # a gap after a step
+    [(1, 1), (0, 2)],                          # decreasing
+    [(Fraction(1, 2), 1), (Fraction(3, 2), 2)],  # unit steps off the integers
+])
+def test_interpolate_rejects_other_spacing(points):
+    with pytest.raises(ValueError) as info:
+        interpolate(points)
+    assert type(info.value) is ValueError  # not the duplicate's SingularInputError
 
 
 # The test oracles' coefficient-list arithmetic, which the reference count

@@ -351,6 +351,15 @@ def test_state_violations_output_is_frozen():
         FROZEN_VIOLATIONS_SHA256)
 
 
+def test_misshapen_states_report_face_count():
+    # Each has the concatenated shape of a well-formed state, but not its
+    # row, column or turn counts.
+    s = next(iter(enumerate_states(1)))
+    assert state_violations(LatticeState(0, (), (), ())) == ["face count"]
+    shifted = LatticeState(1, s.right + ((True, True, True),), (), (True,))
+    assert state_violations(shifted) == ["face count"]
+
+
 def test_corrupt_edge_breaks_classification():
     s = next(iter(enumerate_states(1)))
     flipped_mid = tuple((s.up[0][0], not s.up[0][1], s.up[0][2]))

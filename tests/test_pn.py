@@ -3,6 +3,7 @@ import sys
 from fractions import Fraction
 from hashlib import sha256
 from math import factorial, prod
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -172,6 +173,32 @@ def test_corrupt_counts_detected():
         pn_consistent(2, CountTable(2, bad))
 
 
+# The first failure when one cell of count_table(2) gains a state: sums
+# compared in integers still name the reference, the divergent sum and each
+# differing coefficient of the divided polynomials, as in Fraction.
+BUMPED_CELL_ERRORS = {
+    (0, 4, 5, 6, 4): "A:m=0: zero binomial but nonzero sum ['0', '1', '-1']",
+    (1, 4, 5, 5, 5): "A:m=1 and A:m=2 disagree at z^1: 2 vs 1; z^2: 1 vs 2",
+    (0, 3, 6, 6, 3): "A:m=1 and B:m=0 disagree at z^1: 1 vs 0; z^2: 2 vs 3",
+    (1, 3, 6, 5, 4): "A:m=1 and B:m=1 disagree at z^1: 1 vs 1/2; z^2: 2 vs 5/2",
+    (2, 3, 6, 4, 5): "C:m=2: zero binomial but nonzero sum ['1', '2', '1']",
+    (0, 2, 6, 5, 4): "A:m=0: zero binomial but nonzero sum ['0', '-1', '1']",
+    (1, 2, 6, 4, 5): "A:m=1 and A:m=2 disagree at z^1: 0 vs 1; z^2: 3 vs 2",
+    (1, 1, 5, 5, 5): "A:m=1 and A:m=2 disagree at z^0: 2 vs 1; z^1: 3 vs 1; z^2: 3 vs 2",
+    (2, 2, 6, 3, 6): "A:m=1 and A:m=2 disagree at z^1: 1 vs 0; z^2: 2 vs 3",
+    (2, 1, 5, 4, 6): "C:m=2: zero binomial but nonzero sum ['-1', '-2', '-1']",
+}
+
+
+@pytest.mark.parametrize("key", BUMPED_CELL_ERRORS)
+def test_bumped_cell_error_is_pinned(key):
+    counts = dict(count_table(2).counts)
+    counts[key] += 1
+    with pytest.raises(ConsistencyError) as info:
+        pn_consistent(2, CountTable(2, counts))
+    assert str(info.value) == BUMPED_CELL_ERRORS[key]
+
+
 def test_first_consistency_error_follows_variant_then_m():
     # Bad cells under two values of m.  Too many color-1 faces at m=1 break
     # only variant B's sum; color-0 counts out of range at m=2 break only
@@ -213,6 +240,71 @@ def test_readme_table_matches_frozen_polynomials():
         assert [Fraction(c) for c in rows[f"n={n}"]] == list(poly.coeffs)
 
 
+def per_cell_sum(table, n, m, variant):
+    """pn_from_counts cell by cell: try both row offsets, test the row's
+    residue mod 3 and the exponent's integrality on every nonzero cell, and
+    assemble by the oracle's polynomial powers."""
+    sums = {}
+    for (cell_m, row, *ks), cnt in table.counts.items():
+        if cell_m != m or not cnt:
+            continue
+        for off in variant.row_offsets():
+            l = row - off
+            if (l - n) % 3:
+                continue
+            k = ks[variant.color]
+            e_num = variant.exponent_numerator(n, m, l, k)
+            if e_num % 3:
+                raise ConsistencyError(
+                    f"variant {variant.tag}, m={m}, l={l}, k={k}: "
+                    f"non-integer exponent {e_num}/3 on a nonzero term")
+            sums[e_num // 3] = sums.get(e_num // 3, 0) + (-cnt if (n + l) % 2 else cnt)
+    try:
+        return assemble_by_poly_powers(sums, n)
+    except SingularInputError:
+        raise ConsistencyError(
+            f"variant {variant.tag}, m={m}: sum does not reduce to a polynomial")
+
+
+@cache
+def cached_table(n):
+    return count_table(n)
+
+
+@st.composite
+def perturbed_tables(draw):
+    """count_table(2..4) with zeroed counts and extra cells spliced in at
+    random places: any row, colors out of range, and a color shifted by a
+    third, which makes a non-integer exponent."""
+    n = draw(st.integers(2, 4))
+    items = list(cached_table(n).counts.items())
+    for i in draw(st.lists(st.integers(0, len(items) - 1), max_size=4)):
+        items[i] = (items[i][0], 0)
+    for _ in range(draw(st.integers(0, 4))):
+        k = [draw(st.integers(-3, n * n + 3)) for _ in range(3)]
+        if draw(st.booleans()):
+            k[draw(st.integers(0, 2))] += draw(st.sampled_from([Fraction(1, 3), Fraction(2, 3)]))
+        key = (draw(st.integers(0, n)), draw(st.integers(-1, 2 * n + 2)), *k)
+        items.insert(draw(st.integers(0, len(items))), (key, draw(st.integers(-3, 3))))
+    return n, CountTable(n, dict(items))
+
+
+@settings(max_examples=60, deadline=None)
+@given(perturbed_tables())
+def test_pn_from_counts_matches_per_cell_reference(case):
+    n, table = case
+    for variant in VARIANTS:
+        for m in range(n + 1):
+            try:
+                expected = per_cell_sum(table, n, m, variant)
+            except ConsistencyError as err:
+                with pytest.raises(ConsistencyError) as info:
+                    pn_from_counts(table, n, m, variant)
+                assert str(info.value) == str(err)
+            else:
+                assert pn_from_counts(table, n, m, variant) == expected
+
+
 @st.composite
 def exponent_sums(draw):
     n = draw(st.integers(1, 6))
@@ -234,7 +326,7 @@ def test_assemble_matches_poly_power_oracle(case):
         with pytest.raises(SingularInputError):
             _assemble(sums, n)
     else:
-        assert _assemble(sums, n) == expected
+        assert Poly(_assemble(sums, n)) == expected
 
 
 @settings(max_examples=100)
