@@ -8,9 +8,9 @@ by wall clock with a one-shot interval timer (SIGALRM).  Every report but
 ``enumerate --dump`` is made whole before any of it is written, so nothing
 is written when the budget runs out while it is made; a dump is written as
 its states are made, and what it wrote stays.
-``verify`` runs the lattice suite in a forked worker (``worker``) while it
-runs the sampler suites, and prints the worker's reports first; a worker
-that fails makes it exit 2 with one stderr line naming the worker's status.
+``verify`` runs the lattice suite and the pointwise identities in forked
+workers (``worker``) while it runs the other suites, and prints the workers'
+reports first; a failed worker makes it exit 2 with one stderr line.
 Exact values are printed as num/den strings, never floats.  A fixed seed
 makes every report byte-identical across runs.
 """
@@ -145,29 +145,30 @@ def _cmd_pn(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
-    # Only verify needs the numeric layer and the worker, so no other
-    # command compiles them; the worker forks before theta and verify load.
-    from .worker import lattice_worker
+    # Only verify compiles theta, verify and the workers.  The lattice worker
+    # forks before theta loads, the identity worker once its draws are made.
+    from .worker import forked, lattice_suite
 
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
-    lattice = args.suite in ("lattice", "all")
-    if lattice and args.n < 1:
+    suites = SUITES[:-1] if args.suite == "all" else (args.suite,)
+    if "lattice" in suites and args.n < 1:
         raise ValueError("lattice suite needs n >= 1")
-    reports = []
-    # The worker's reports print first, as when the suites ran one by one.
-    with (lattice_worker(args.n) if lattice else nullcontext(list)) as lattice_records:
+    with (forked("lattice worker", lambda: lattice_suite(args.n))
+          if "lattice" in suites else nullcontext(list)) as lattice:
         from .theta import ParamSampler
-        from .verify import filali_suite, identity_suite, specialization_suite
+        from .verify import (filali_suite, identity_draws, identity_reports,
+                             specialization_suite)
 
         sampler = ParamSampler(args.seed)
-        if args.suite in ("theta", "all"):
-            reports += identity_suite(sampler, trials=max(args.trials, 100))
-        if args.suite in ("filali", "all"):
-            reports += filali_suite(sampler, trials=args.trials)
-        if args.suite in ("specialization", "all"):
-            reports += specialization_suite(sampler, trials=max(1, args.trials // 4))
-        records = lattice_records() + [r.to_record() for r in reports]
+        draws = identity_draws(sampler, max(args.trials, 100)) if "theta" in suites else []
+        with (forked("identity worker", lambda: identity_reports(draws))
+              if draws else nullcontext(list)) as identity:
+            draws.clear()  # the worker has its own copy
+            reports = filali_suite(sampler, trials=args.trials) if "filali" in suites else []
+            if "specialization" in suites:
+                reports += specialization_suite(sampler, trials=max(1, args.trials // 4))
+            records = lattice() + identity() + [r.to_record() for r in reports]
     return json.dumps(records), 0 if all(r["pass"] for r in records) else 1
 
 

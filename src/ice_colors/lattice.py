@@ -29,10 +29,11 @@ The east arrows of a column agree with the heights carried over from its
 west side exactly when its every vertex obeys the ice rule, and a turn
 matches its wall faces exactly when its two segment-0 arrows follow its flow.
 So heights exist exactly when both hold everywhere (Lenard's bijection):
-``state_violations`` judges a state by these rules, and ``heights`` trusts
-it.  ``enumerate_states`` lists the states.  ``row_transfer`` is the one
-sum over them, a double line at a time and building none: ``count_table``
-counts them by it, and ``theta.partition_transfer`` sums their weights.
+``column_violations`` judges a state by these rules, and ``heights`` trusts
+it.  ``column_walk`` lists the states by columns, ``enumerate_states`` by
+rows.  ``row_transfer`` is the one sum over them, a double line at a time
+and building none: ``count_table`` counts them by it, and
+``theta.partition_transfer`` sums their weights.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ import csv
 import io
 import json
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from math import comb
@@ -65,7 +65,8 @@ VERTEX_KINDS = ("a+", "a-", "b+", "b-", "c+", "c-")
 
 # Vertex classification by the arrow pattern (W_right, E_right, S_up, N_up).
 # Upper rows are read in the standard orientation; lower rows are read a
-# quarter turn clockwise because the flow on the lower branch runs leftward.
+# quarter turn clockwise because the flow on the lower branch runs leftward:
+# turned so, a lower (W, E, S, N) reads as an upper (S, N, not E, not W).
 _UPPER_KIND = {
     (True, True, True, True): "a+",
     (False, False, False, False): "a-",
@@ -74,14 +75,7 @@ _UPPER_KIND = {
     (True, False, False, True): "c+",
     (False, True, True, False): "c-",
 }
-_LOWER_KIND = {
-    (False, False, True, True): "a+",
-    (True, True, False, False): "a-",
-    (True, True, True, True): "b+",
-    (False, False, False, False): "b-",
-    (False, True, True, False): "c+",
-    (True, False, False, True): "c-",
-}
+_LOWER_KIND = {(not n, not s, w, e): kind for (w, e, s, n), kind in _UPPER_KIND.items()}
 
 
 class LatticeState(NamedTuple):
@@ -95,6 +89,7 @@ class LatticeState(NamedTuple):
 
 CountKey = tuple[int, int, int, int, int]  # (m, l, k0, k1, k2)
 FaceGrid = tuple[tuple[int, ...], ...]  # face rows bottom-up, columns from the wall
+Columns = tuple[tuple[bool, ...], ...]  # arrows per lattice column or segment, bottom-up
 LineFill = tuple[tuple[bool, ...], tuple[bool, ...]]  # (along, other) of one line
 
 
@@ -150,46 +145,45 @@ def line_fills(side: tuple[bool, ...], entering: bool, leaving: bool) -> list[Li
     return [fill for fill in fills if fill[0][-1] == leaving]
 
 
-def _column_fills(west: tuple[bool, ...], last: bool) -> list[LineFill]:
-    """Every way to fill one lattice column whose west arrows are ``west``:
-    ``(up, east)`` pairs in ``line_fills`` order, its vertical edges from
-    the bottom one (up) to the top one (down) and its east arrows bottom-up,
-    all pointing right in the ``last`` column."""
-    return [fill for fill in line_fills(west, True, False) if not last or all(fill[1])]
+def column_walk(n: int) -> Iterator[tuple[Columns, Columns, tuple[bool, ...]]]:
+    """Yield every admissible state once, in a fixed order, by columns:
+    ``(segments, up, turns)``, each segment's horizontal arrows from the
+    wall's (0) to the right boundary's (n), each lattice column's vertical
+    edges, both bottom-up, and the turn signs.
 
-
-def enumerate_states(n: int) -> Iterator[LatticeState]:
-    """Yield every admissible state exactly once, in a fixed order.
-
-    A depth-first search fills one lattice column at a time, from the wall
-    rightward, each by a ``line_fills`` walk up the column; the fills of a
-    column depend only on its west arrows and on whether it is the last
-    column, so they are listed once per call.  The order is the turn signs in
-    ``itertools.product`` order, then, column by column and bottom-up within
-    a column, each vertex's ``_COMPLETIONS`` in turn, the earliest vertex
-    varying slowest.  ``enumerate --dump`` prints this order and the
-    lattice verify suite checks each state in it.
-    """
+    A depth-first search fills one lattice column at a time from the wall,
+    each by a ``line_fills`` walk up it (listed once per call), all its east
+    arrows pointing right in the last.  The order is the turn signs in
+    ``itertools.product`` order, then, column by column and bottom-up, each
+    vertex's ``_COMPLETIONS`` in turn, the earliest varying slowest."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    fills = cache(_column_fills)  # memos live for this call only
     ups: list[tuple[bool, ...]] = [()] * n
-    easts: list[tuple[bool, ...]] = [()] * n
+    segments: list[tuple[bool, ...]] = [()] * (n + 1)
 
-    def search(c: int, west: tuple[bool, ...]) -> Iterator[LatticeState]:
+    @cache  # memos live for this call only
+    def fills(west: tuple[bool, ...], last: bool) -> list[LineFill]:
+        return [fill for fill in line_fills(west, True, False) if not last or all(fill[1])]
+
+    def search(c: int) -> Iterator[tuple[Columns, Columns, tuple[bool, ...]]]:
         last = c == n - 1
-        for up, east in fills(west, last):
-            ups[c], easts[c] = up, east
+        for ups[c], segments[c + 1] in fills(segments[c], last):
             if last:
-                yield LatticeState(n, tuple(zip(wall, *easts)), tuple(ups), turns)
+                yield tuple(segments), tuple(ups), turns
             else:
-                yield from search(c + 1, east)
+                yield from search(c + 1)
 
     for turns in product((False, True), repeat=n):
         # Positive turn: lower branch arrow points left (into the turn),
         # upper branch arrow points right (out of it).  Negative: reversed.
-        wall = tuple(arrow for pos in turns for arrow in (not pos, pos))
-        yield from search(0, wall)
+        segments[0] = tuple(arrow for pos in turns for arrow in (not pos, pos))
+        yield from search(0)
+
+
+def enumerate_states(n: int) -> Iterator[LatticeState]:
+    """``column_walk``'s states, in its order: ``enumerate --dump`` prints it."""
+    for segments, up, turns in column_walk(n):
+        yield LatticeState(n, tuple(zip(*segments)), up, turns)
 
 
 def heights(state: LatticeState) -> FaceGrid:
@@ -215,20 +209,26 @@ def heights(state: LatticeState) -> FaceGrid:
 
 
 def state_violations(state: LatticeState) -> list[str]:
-    """Every exact per-state rule, as human-readable failures or a broken
-    lattice rule's message.  No face grid: heights exist exactly when every
-    vertex obeys the ice rule and each turn's segment-0 arrows follow its
-    flow, and then each turn face has its color (module docstring).  Each
-    column is tallied once per distinct column by ``_column_tally``; the
-    left-arrow and turn tests are tuple methods and slice compares, and a
-    message is built only for a rule that fails."""
+    """``column_violations`` of the state, or ``face count`` if misshapen."""
     n, right, up, turns = state
     if (n < 1 or [*map(len, right)] != [n + 1] * (2 * n)
             or [*map(len, up)] != [2 * n + 1] * n or len(turns) != n):
         return ["face count"]
-    segments = tuple(zip(*right))  # horizontal arrows per segment, bottom-up
+    return column_violations(n, tuple(zip(*right)), up, turns)
+
+
+def column_violations(n: int, segments: Columns, up: Columns,
+                      turns: tuple[bool, ...]) -> list[str]:
+    """Every exact per-state rule of a state of size ``n`` as ``column_walk``
+    yields it, as human-readable failures or a broken lattice rule's
+    message, by Lenard's bijection (module docstring): one ``_column_tally``
+    lookup per column, no face grid, and a message only for a failed rule."""
+    b = c = 0
     try:
-        tallies = list(map(_column_tally, segments, segments[1:], up))
+        for west, east, column in zip(segments, segments[1:], up):
+            _, _, b_p, b_m, c_p, c_m = _column_tally(west, east, column)
+            b += b_p - b_m
+            c += c_p - c_m
     except IceRuleError as err:
         return [str(err)]
     last = segments[n - 1]
@@ -236,18 +236,16 @@ def state_violations(state: LatticeState) -> list[str]:
         lefts = [r for r, arrow in enumerate(last) if not arrow]
         return [f"expected one left arrow at segment {n - 1}, found rows {lefts}"]
     odd = last.index(False) % 2 == 0  # the left arrow's row l, 1-based, is odd
-    _, _, b_p, b_m, c_p, c_m = map(sum, zip(*tallies))
-    _, _, last_b_p, last_b_m, last_c_p, last_c_m = tallies[-1]
     bad = []
-    if b_p != b_m + comb(n + 1, 2):
+    if b != comb(n + 1, 2):
         bad.append("b+ / b- census identity")
-    if c_p + 2 * turns.count(False) != c_m + n:
+    if c + 2 * turns.count(False) != n:
         bad.append("c+ / c- / k- census identity")
-    if last_b_p != n or last_b_m != 0:
+    if b_p != n or b_m != 0:  # b_p .. c_m: the loop's last, the rightmost column
         bad.append("rightmost-column b census")
-    if last_c_p != odd:
+    if c_p != odd:
         bad.append("rightmost-column c+ count")
-    if last_c_m != (not odd):
+    if c_m != (not odd):
         bad.append("rightmost-column c- count")
     wall = segments[0]
     if wall[1::2] != turns or wall[::2] != tuple(map(not_, turns)):
@@ -256,9 +254,9 @@ def state_violations(state: LatticeState) -> list[str]:
     return bad
 
 
-@dataclass
-class CountTable:
-    """Aggregated state counts keyed by (m, l, k0, k1, k2)."""
+class CountTable(NamedTuple):
+    """Aggregated state counts keyed by (m, l, k0, k1, k2); a ``NamedTuple``,
+    cheaper to define at import than a dataclass."""
 
     n: int
     counts: dict[CountKey, int]

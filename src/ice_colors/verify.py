@@ -4,7 +4,9 @@ Four families of checks:
 
 * pointwise theta-function identities (addition rule, quasi-periodicity,
   omega-shift collapse to the cubed nome, the psi and x(z) relations, and
-  the bridge from theta quotients to the G kernel);
+  the bridge from theta quotients to the G kernel): ``identity_suite``, or
+  its two halves, ``identity_draws`` and ``identity_reports``, which
+  ``verify`` runs in the parent and in a forked worker;
 * equality of the state sum, summed by row transfer, with the determinant
   formula for the partition function at generic parameters;
 * the specialized partition function at eta = -2/3: its closed double-sum
@@ -12,7 +14,7 @@ Four families of checks:
   and at the quarter point where it collapses onto the determinant route
   through the exact polynomials;
 * exact structural invariants of every enumerated state, each state
-  checked by ``lattice.state_violations``: ``lattice_suite``, defined in
+  checked by ``lattice.column_violations``: ``lattice_suite``, defined in
   ``worker`` and re-exported here.
 
 Every report carries the worst relative residual over the requested trials
@@ -36,8 +38,9 @@ from .theta import (OMEGA, TWO_PI_I, ModelParams, ParamSampler,
                     theta, theta_pm, x_numeric)
 from .tpoly import g_eval, t_prefactor
 # The lattice suite lives with its worker, which must not load theta; its
-# names stay importable from here.
-from .worker import IdentityReport, lattice_suite, state_violations  # noqa: F401
+# names, and the check of one state, stay importable from here.
+from .lattice import state_violations  # noqa: F401
+from .worker import IdentityReport, lattice_suite  # noqa: F401
 
 POINTWISE_TOL = 1e-10
 DETERMINANT_TOL = 1e-8
@@ -63,63 +66,52 @@ def _worst(residuals: Iterable[float]) -> float:
 # pointwise theta identities
 
 
-def _addition_rule(s: ParamSampler) -> float:
-    p = s.nome()
-    x1, x2, x3, x4 = (s.unit() for _ in range(4))
+def _addition_rule(p: complex, x1: complex, x2: complex, x3: complex,
+                   x4: complex) -> float:
     lhs = (theta_pm(x1, x3, p) * theta_pm(x2, x4, p)
            - theta_pm(x1, x4, p) * theta_pm(x2, x3, p))
     rhs = x2 / x3 * theta_pm(x1, x2, p) * theta_pm(x3, x4, p)
     return relerr(lhs, rhs)
 
 
-def _quasi_periodicity(s: ParamSampler) -> float:
-    p, x = s.nome(), s.unit()
+def _quasi_periodicity(p: complex, x: complex) -> float:
     ref = -theta(x, p) / x
     return max(relerr(theta(p * x, p), ref), relerr(theta(1 / x, p), ref))
 
 
-def _sqrt_nome_omega_swap(s: ParamSampler) -> float:
-    p = s.nome()
+def _sqrt_nome_omega_swap(p: complex) -> float:
     sp = cmath.sqrt(p)
     return relerr(theta(sp * OMEGA, p), theta(sp * OMEGA**2, p))
 
 
-def _triple_product(s: ParamSampler) -> float:
-    p, x = s.nome(), s.unit()
-    a = s.rng.randrange(-3, 4)
+def _triple_product(p: complex, x: complex, a: int) -> float:
     lhs = (theta(x * OMEGA**a, p) * theta(x * OMEGA ** (a + 1), p)
            * theta(x * OMEGA ** (a + 2), p))
     return relerr(lhs, theta(x**3, p**3))
 
 
-def _psi_two_psi_plus_one(s: ParamSampler) -> float:
-    p = s.nome()
+def _psi_two_psi_plus_one(p: complex) -> float:
     sp = cmath.sqrt(p)
     rhs = (theta(-sp * OMEGA, p) ** 2 * theta(OMEGA, p) ** 2
            / (theta(-OMEGA, p) ** 2 * theta(sp * OMEGA, p) ** 2))
     return relerr(2 * psi_numeric(p) + 1, rhs)
 
 
-def _psi_plus_one(s: ParamSampler) -> float:
-    p = s.nome()
+def _psi_plus_one(p: complex) -> float:
     sp = cmath.sqrt(p)
     rhs = -theta(sp, p) * theta(-sp * OMEGA, p) / (theta(-sp, p) * theta(sp * OMEGA, p))
     return relerr(psi_numeric(p) + 1, rhs)
 
 
-def _x_at_zero(s: ParamSampler) -> float:
-    p = s.nome()
+def _x_at_zero(p: complex) -> float:
     return relerr(x_numeric(0j, p), 2 * psi_numeric(p) + 1)
 
 
-def _x_at_minus_sixth(s: ParamSampler) -> float:
-    p = s.nome()
+def _x_at_minus_sixth(p: complex) -> float:
     return relerr(x_numeric(-1 / 6 + 0j, p), psi_numeric(p))
 
 
-def _x_difference(s: ParamSampler) -> float:
-    p = s.nome()
-    z, w = s.exponent(), s.exponent()
+def _x_difference(p: complex, z: complex, w: complex) -> float:
     sp = cmath.sqrt(p)
     ez, ew = cmath.exp(TWO_PI_I * z), cmath.exp(TWO_PI_I * w)
     lhs = x_numeric(z, p) - x_numeric(w, p)
@@ -130,9 +122,7 @@ def _x_difference(s: ParamSampler) -> float:
     return relerr(lhs, rhs)
 
 
-def _g_bridge(s: ParamSampler) -> float:
-    p = s.nome()
-    z, w = s.exponent(), s.exponent()
+def _g_bridge(p: complex, z: complex, w: complex) -> float:
     sp = cmath.sqrt(p)
     ez, ew = cmath.exp(TWO_PI_I * z), cmath.exp(TWO_PI_I * w)
     lhs = (theta(ew * ez, p) * theta(ew / ez, p)
@@ -147,26 +137,45 @@ def _g_bridge(s: ParamSampler) -> float:
     return relerr(lhs, rhs)
 
 
-_POINTWISE = (
-    ("addition_rule", _addition_rule),
-    ("quasi_periodicity", _quasi_periodicity),
-    ("sqrt_nome_omega_swap", _sqrt_nome_omega_swap),
-    ("triple_product", _triple_product),
-    ("psi_two_psi_plus_one", _psi_two_psi_plus_one),
-    ("psi_plus_one", _psi_plus_one),
-    ("x_at_zero", _x_at_zero),
-    ("x_at_minus_sixth", _x_at_minus_sixth),
-    ("x_difference", _x_difference),
-    ("g_bridge", _g_bridge),
+# Each check draws its arguments from the sampler, one per letter of its
+# kinds in turn (n a nome, u a unit, e an exponent, a a shift in -3..3), and
+# then computes its residual of them; the draws use nothing but the sampler.
+_DRAW = {"n": ParamSampler.nome, "u": ParamSampler.unit,
+         "e": ParamSampler.exponent, "a": lambda s: s.rng.randrange(-3, 4)}
+
+_POINTWISE = (  # (name, kinds, residual)
+    ("addition_rule", "nuuuu", _addition_rule),
+    ("quasi_periodicity", "nu", _quasi_periodicity),
+    ("sqrt_nome_omega_swap", "n", _sqrt_nome_omega_swap),
+    ("triple_product", "nua", _triple_product),
+    ("psi_two_psi_plus_one", "n", _psi_two_psi_plus_one),
+    ("psi_plus_one", "n", _psi_plus_one),
+    ("x_at_zero", "n", _x_at_zero),
+    ("x_at_minus_sixth", "n", _x_at_minus_sixth),
+    ("x_difference", "nee", _x_difference),
+    ("g_bridge", "nee", _g_bridge),
 )
 
 
-def identity_suite(sampler: ParamSampler, trials: int = 100) -> list[IdentityReport]:
+def identity_draws(sampler: ParamSampler, trials: int = 100) -> list[list[tuple]]:
+    """The arguments of every pointwise check's trials, drawn check by
+    check and each check's trials in a row, as ``identity_suite`` draws
+    them; ``identity_reports`` evaluates them."""
+    return [[tuple(_DRAW[kind](sampler) for kind in kinds) for _ in range(trials)]
+            for _, kinds, _ in _POINTWISE]
+
+
+def identity_reports(draws: list[list[tuple]]) -> list[IdentityReport]:
+    """One report per pointwise check, from ``identity_draws``'s arguments."""
     reports = []
-    for name, check in _POINTWISE:
-        value = _worst(check(sampler) for _ in range(trials))
-        reports.append(IdentityReport(name, trials, value, value <= POINTWISE_TOL))
+    for (name, _, residual), trials in zip(_POINTWISE, draws):
+        value = _worst(residual(*args) for args in trials)
+        reports.append(IdentityReport(name, len(trials), value, value <= POINTWISE_TOL))
     return reports
+
+
+def identity_suite(sampler: ParamSampler, trials: int = 100) -> list[IdentityReport]:
+    return identity_reports(identity_draws(sampler, trials))
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,20 @@
-"""The lattice suite, and the forked worker that runs it for
-``ice-colors verify``.
+"""The lattice suite, and the forked workers of ``ice-colors verify``.
 
-``lattice_suite`` checks every enumerated state of each size by
-``lattice.state_violations``; it and its ``IdentityReport`` live here,
-apart from the numeric layer, and ``verify`` re-exports both.  The suite
-shares no state with the sampler suites, so ``verify`` forks its worker
-first, before it loads ``theta`` and ``verify`` (the worker needs neither),
-and runs the sampler suites while the worker runs.  The child is made by
-``os.fork`` (POSIX only, like the ``SIGALRM`` timer of ``--time-budget``)
-and sends the records of its reports back as JSON through a pipe; it never
-writes to stdout and ends in ``os._exit`` on every path.  A worker that
-cannot start or does not exit 0 raises ``ChildProcessError`` with a
-one-line message.  The parent kills and reaps a worker still running when
-it leaves the ``with`` block, whatever ends it; a worker whose parent died
+``lattice_suite`` checks every state of each size by
+``lattice.column_violations``, straight on ``lattice.column_walk``'s
+columns; it and its ``IdentityReport`` live here, apart from the numeric
+layer, and ``verify`` re-exports both.  ``forked(name, work)`` runs
+``work()`` in a child made by ``os.fork`` (POSIX only, like the
+``SIGALRM`` timer of ``--time-budget``) while the parent goes on.
+``verify`` forks two: the lattice worker first, before it loads ``theta``
+and ``verify`` (that worker needs neither), then, once the parent has drawn
+the pointwise identities' arguments, the identity worker that evaluates
+them; the parent runs the other sampler suites meanwhile.  A child sends
+the records of its reports back as JSON through a pipe; it never writes to
+stdout and ends in ``os._exit`` on every path.  A worker that cannot start
+or does not exit 0 raises ``ChildProcessError`` with a one-line message
+naming it.  The parent kills and reaps a worker still running when it
+leaves the ``with`` block, whatever ends it; a worker whose parent died
 without that exits by itself.  Called directly, ``lattice_suite`` runs in
 the caller's process.
 """
@@ -24,13 +26,12 @@ import os
 import signal
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .lattice import enumerate_states, state_violations
+from .lattice import column_violations, column_walk
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     name: str
     trials: int
     max_rel_residual: float
@@ -52,9 +53,9 @@ def lattice_suite(max_n: int = 3) -> list[IdentityReport]:
     for n in range(1, max_n + 1):
         states = 0
         failures = 0
-        for state in enumerate_states(n):
+        for segments, up, turns in column_walk(n):
             states += 1
-            if state_violations(state):
+            if column_violations(n, segments, up, turns):
                 failures += 1
         reports.append(
             IdentityReport(f"state_invariants_n{n}", states, float(failures),
@@ -73,9 +74,9 @@ def _alarm_blocked():
         signal.pthread_sigmask(signal.SIG_SETMASK, previous)
 
 
-def _serve(max_n: int, writer, parent: int) -> None:
-    """The worker's whole life: send the records of
-    ``lattice_suite(max_n)`` as JSON, then ``os._exit``.
+def _serve(work, writer, parent: int) -> None:
+    """The worker's whole life: send the records of the reports ``work()``
+    returns as JSON, then ``os._exit``.
 
     A parent ended by a signal it does not handle (SIGKILL, or SIGTERM,
     whose default action ends it) runs no cleanup, so every half second of
@@ -88,8 +89,7 @@ def _serve(max_n: int, writer, parent: int) -> None:
     try:
         signal.signal(signal.SIGVTALRM, exit_if_orphaned)
         signal.setitimer(signal.ITIMER_VIRTUAL, 0.5, 0.5)
-        writer.write(json.dumps(
-            [r.to_record() for r in lattice_suite(max_n=max_n)]).encode())
+        writer.write(json.dumps([r.to_record() for r in work()]).encode())
         writer.close()
         os._exit(0)
     except BaseException:
@@ -101,19 +101,18 @@ def _serve(max_n: int, writer, parent: int) -> None:
 
 
 @contextmanager
-def lattice_worker(max_n: int):
-    """Run the lattice suite up to ``max_n`` in a forked child while the
-    block runs; yield ``join()``, which waits for the child and returns the
-    records of its reports.  Whatever ends the block, a child still running
-    is killed and reaped.
+def forked(name: str, work):
+    """Run ``work()``, which returns reports, in a forked child, the worker
+    ``name``, while the block runs; yield ``join()``, which waits for the
+    child and returns the records of its reports.  Whatever ends the block,
+    a child still running is killed and reaped.
     """
     try:
         read_fd, write_fd = os.pipe()
     except OSError as err:
-        raise ChildProcessError(
-            f"cannot start the lattice worker: {err.strerror}") from None
+        raise ChildProcessError(f"cannot start the {name}: {err.strerror}") from None
     pid, parent = 0, os.getpid()
-    with open(read_fd, "rb") as reader:
+    with open(read_fd, "rb", buffering=0) as reader:  # read() reads to the end
         try:
             # The parent's copy of the write end closes at once, so read()
             # ends when the child's does.
@@ -124,11 +123,11 @@ def lattice_worker(max_n: int):
                     try:
                         pid = os.fork()
                     except OSError as err:
-                        raise ChildProcessError("cannot start the lattice worker: "
-                                                f"{err.strerror}") from None
+                        raise ChildProcessError(
+                            f"cannot start the {name}: {err.strerror}") from None
                     if pid == 0:
                         reader.close()
-                        _serve(max_n, writer, parent)
+                        _serve(work, writer, parent)
 
             def join() -> list[dict]:
                 nonlocal pid
@@ -139,9 +138,9 @@ def lattice_worker(max_n: int):
                 code = os.waitstatus_to_exitcode(status)
                 if code < 0:
                     raise ChildProcessError(
-                        f"lattice worker killed by {signal.Signals(-code).name}")
+                        f"{name} killed by {signal.Signals(-code).name}")
                 if code:
-                    raise ChildProcessError(f"lattice worker exited with status {code}")
+                    raise ChildProcessError(f"{name} exited with status {code}")
                 return json.loads(data)
 
             yield join

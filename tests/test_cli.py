@@ -176,7 +176,8 @@ def test_state_breaking_lattice_rules_is_reported(capsys, monkeypatch):
     state = next(iter(enumerate_states(1)))
     flipped = (state.up[0][0], not state.up[0][1], state.up[0][2])
     broken = LatticeState(1, state.right, (flipped,), state.turn_positive)
-    monkeypatch.setattr(worker, "enumerate_states", lambda n: iter([broken]))
+    columns = (tuple(zip(*broken.right)), broken.up, broken.turn_positive)
+    monkeypatch.setattr(worker, "column_walk", lambda n: iter([columns]))
     code, out, err = run_cli(capsys, "verify", "--suite", "lattice", "--n", "1")
     assert (code, err) == (1, "")
     assert json.loads(out) == [{"name": "state_invariants_n1", "trials": 1,
@@ -215,6 +216,26 @@ def _raises(max_n):
 def test_failed_lattice_worker_exits_2(capsys, monkeypatch, suite, status):
     monkeypatch.setattr(worker, "lattice_suite", suite)
     for argv in (("--suite", "lattice"), ("--suite", "all", "--trials", "1")):
+        assert run_cli(capsys, "verify", *argv, "--n", "2") == (2, "", status)
+
+
+def _reports_killed_by_sigkill(draws, parent=os.getpid()):
+    if os.getpid() == parent:
+        raise AssertionError("the identity checks ran in the parent")
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _reports_raise(draws):
+    raise RuntimeError("identity checks broke")
+
+
+@pytest.mark.parametrize("reports, status", [
+    (_reports_raise, "identity worker exited with status 1\n"),
+    (_reports_killed_by_sigkill, "identity worker killed by SIGKILL\n"),
+], ids=["raises", "sigkill"])
+def test_failed_identity_worker_exits_2(capsys, monkeypatch, reports, status):
+    monkeypatch.setattr(verify, "identity_reports", reports)
+    for argv in (("--suite", "theta"), ("--suite", "all", "--trials", "1")):
         assert run_cli(capsys, "verify", *argv, "--n", "2") == (2, "", status)
 
 
@@ -275,16 +296,18 @@ def test_worker_is_reaped_after_a_run(capsys, forks):
 
 
 def test_exception_in_parent_kills_the_worker(capsys, monkeypatch, forks):
-    # The lattice suite at n = 6 walks 595,497,600 states: the worker is
-    # still running when the parent's suite raises, and must not outlive it.
+    # The lattice suite at n = 6 walks 595,497,600 states: the lattice
+    # worker is still running when the parent's suite raises, and neither
+    # it nor the identity worker may outlive the run.
     def near_singular(sampler, trials):
         raise NearSingularError("no well-conditioned draw")
 
-    monkeypatch.setattr(verify, "identity_suite", near_singular)
+    monkeypatch.setattr(verify, "filali_suite", near_singular)
     with pytest.raises(NearSingularError):
         run_cli(capsys, "verify", "--suite", "all", "--n", "6")
-    assert len(forks) == 1
-    _assert_reaped(forks[0])
+    assert len(forks) == 2
+    for pid in forks:
+        _assert_reaped(pid)
 
 
 def test_time_budget_leaves_no_worker():
@@ -315,15 +338,16 @@ def test_time_budget_leaves_no_worker():
                          ids=lambda sig: sig.name)
 def test_killed_parent_leaves_no_worker(sig):
     # A parent ended by a signal it does not handle runs no cleanup; the
-    # orphaned worker must notice and exit by itself.
+    # orphaned workers must notice and exit by themselves.  At 5,000 trials
+    # the identity worker runs for seconds too.
     src = str(Path(ice_colors.__file__).resolve().parents[1])
     proc = subprocess.Popen(
-        [sys.executable, "-m", "ice_colors.cli", "verify", "--suite", "lattice",
-         "--n", "6"],
+        [sys.executable, "-m", "ice_colors.cli", "verify", "--suite", "all",
+         "--n", "6", "--trials", "5000"],
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         start_new_session=True, env={**os.environ, "PYTHONPATH": src})
     try:
-        time.sleep(1)  # time to start the worker, which walks states for hours
+        time.sleep(1)  # time to start the workers; the lattice one walks states for hours
         proc.send_signal(sig)
         assert proc.wait(timeout=30) == -sig
         deadline = time.monotonic() + 10

@@ -6,11 +6,11 @@ from math import comb
 
 import pytest
 
-from ice_colors import lattice
+from ice_colors import lattice, worker
 from ice_colors.lattice import (VERTEX_KINDS, CountTable, IceRuleError,
-                                LatticeState, LeftArrowError, count_table,
-                                enumerate_states, heights, render_state,
-                                state_violations)
+                                LatticeState, LeftArrowError, column_walk,
+                                count_table, enumerate_states, heights,
+                                render_state, state_violations)
 from ice_colors.verify import lattice_suite
 
 from oracles import (all_assignment_states, classified_grid, color_counts,
@@ -69,6 +69,18 @@ def test_enumeration_order_matches_vertex_walk():
     # partition sum adds floats in it.
     for n in range(1, 5):
         assert list(enumerate_states(n)) == vertex_walk_states(n)
+
+
+def test_enumerate_states_is_the_column_walk_transposed():
+    # The lattice suite checks the walk's columns and --dump prints the
+    # states: the same states, in the same order.
+    for n in range(1, 6):
+        states = 0
+        for state, (segments, up, turns) in zip(enumerate_states(n), column_walk(n),
+                                                strict=True):
+            assert state == LatticeState(n, tuple(zip(*segments)), up, turns)
+            states += 1
+        assert states == count_table(n).total()
 
 
 def test_heights_upper_left_zero_and_boundary():
@@ -432,6 +444,32 @@ def test_column_cache_cannot_hide_corruption():
             assert len(found) == 1 and "breaks the ice rule" in found[0]
             flips += 1
     assert flips == 2 * 7 + 12 * 22
+
+
+def test_lattice_suite_verdicts_are_state_violations(monkeypatch):
+    # The suite judges the walk's columns by column_violations; per state,
+    # its verdict must be state_violations's on the state: over every state
+    # up to n = 4, and over every frozen case of a state's shape.
+    verdicts = []
+
+    def recorded(*columns):
+        found = lattice.column_violations(*columns)
+        verdicts.append(bool(found))
+        return found
+
+    monkeypatch.setattr(worker, "column_violations", recorded)
+    lattice_suite(4)
+    assert verdicts == [bool(state_violations(s))
+                        for n in range(1, 5) for s in enumerate_states(n)]
+    shaped = [s for s in frozen_cases() if state_violations(s) != ["face count"]]
+    monkeypatch.setattr(worker, "column_walk", lambda n: (
+        (tuple(zip(*s.right)), s.up, s.turn_positive) for s in shaped if s.n == n))
+    verdicts.clear()
+    reports = lattice_suite(3)
+    expected = [[bool(state_violations(s)) for s in shaped if s.n == n] for n in (1, 2, 3)]
+    assert verdicts == sum(expected, [])
+    assert [(r.trials, r.max_rel_residual) for r in reports] == [
+        (len(found), float(sum(found))) for found in expected]
 
 
 def test_lattice_suite_reads_cached_column_tallies(monkeypatch):

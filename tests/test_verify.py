@@ -8,7 +8,8 @@ from ice_colors.lattice import CountTable, count_table
 from ice_colors.pn import pn_consistent
 from ice_colors.theta import ParamSampler, resample
 from ice_colors.verify import (IdentityReport, POINTWISE_TOL, filali_suite,
-                               grouped_state_sum, identity_suite, lattice_suite,
+                               grouped_state_sum, identity_draws, identity_reports,
+                               identity_suite, lattice_suite,
                                quarter_point_state_sum, relerr,
                                specialization_check, specialization_suite)
 
@@ -105,6 +106,18 @@ def test_identity_suite_deterministic_under_seed():
     assert [r.max_rel_residual for r in a] == [r.max_rel_residual for r in b]
 
 
+@pytest.mark.parametrize("seed", [0, 7, 17, 32])
+def test_identity_draws_then_reports_is_the_suite(seed):
+    # verify draws every pointwise argument in the parent and evaluates them
+    # in a worker: the reports and the sampler's state after the draws must
+    # be those of the suite run in one go.
+    drawn, whole = ParamSampler(seed), ParamSampler(seed)
+    reports = identity_reports(identity_draws(drawn, trials=100))
+    assert drawn.rng.getstate() != ParamSampler(seed).rng.getstate()
+    assert reports == identity_suite(whole, trials=100)
+    assert drawn.rng.getstate() == whole.rng.getstate()
+
+
 def _nan_on_call(fn, call=2):
     """``fn`` with its ``call``-th result replaced by NaN."""
     calls = []
@@ -124,9 +137,9 @@ def _nan_on_call(fn, call=2):
 # the first trial would pass its report unseen.
 
 def test_nan_in_a_pointwise_trial_fails_its_report(monkeypatch):
-    name, check = verify._POINTWISE[0]
+    name, kinds, residual = verify._POINTWISE[0]
     monkeypatch.setattr(verify, "_POINTWISE",
-                        ((name, _nan_on_call(check)),) + verify._POINTWISE[1:])
+                        ((name, kinds, _nan_on_call(residual)),) + verify._POINTWISE[1:])
     reports = identity_suite(ParamSampler(0), trials=3)
     assert math.isnan(reports[0].max_rel_residual)
     assert [r.passed for r in reports] == [False] + [True] * 9
