@@ -7,9 +7,10 @@ Geometry conventions for half-size ``n``:
   Rows ``2i`` and ``2i+1`` are the lower and upper branch of the ``i``-th
   horizontal double line; the branches join at turn ``i`` on the left wall.
 * ``n`` vertical lattice columns, indexed ``c = 0 .. n-1`` from the left.
-* ``right[r][s]`` for ``s = 0 .. n`` holds the horizontal edge arrows of row
-  ``r`` (``True`` = points right).  Segment ``0`` adjoins the turn, segment
-  ``n`` is the outgoing right-boundary edge.
+* ``segments[s][r]`` for ``s = 0 .. n`` holds the horizontal edge arrow of
+  row ``r`` at segment ``s`` (``True`` = points right), so each segment is
+  a column of arrows, bottom-up.  Segment ``0`` adjoins the turns, segment
+  ``n`` is the outgoing right boundary.
 * ``up[c][t]`` for ``t = 0 .. 2n`` holds the vertical edge arrows of column
   ``c`` (``True`` = points up).  ``t = 0`` is the bottom boundary edge.
 * ``turn_positive[i]`` is ``True`` when the flow enters turn ``i`` on the
@@ -30,10 +31,11 @@ west side exactly when its every vertex obeys the ice rule, and a turn
 matches its wall faces exactly when its two segment-0 arrows follow its flow.
 So heights exist exactly when both hold everywhere (Lenard's bijection):
 ``column_violations`` judges a state by these rules, and ``heights`` trusts
-it.  ``column_walk`` lists the states by columns, ``enumerate_states`` by
-rows.  ``row_transfer`` is the one sum over them, a double line at a time
-and building none: ``count_table`` counts them by it, and
-``theta.partition_transfer`` sums their weights.
+it.  ``column_walk`` lists the states as these columns, and
+``enumerate_states`` wraps each in a ``LatticeState``.  ``row_transfer`` is
+the one sum over them, a double line at a time and building none:
+``count_table`` counts them by it, and ``theta.partition_transfer`` sums
+their weights.
 """
 
 from __future__ import annotations
@@ -78,19 +80,20 @@ _UPPER_KIND = {
 _LOWER_KIND = {(not n, not s, w, e): kind for (w, e, s, n), kind in _UPPER_KIND.items()}
 
 
-class LatticeState(NamedTuple):
-    """Arrow assignment on every edge and turn of the 2n x n lattice."""
-
-    n: int
-    right: tuple[tuple[bool, ...], ...]
-    up: tuple[tuple[bool, ...], ...]
-    turn_positive: tuple[bool, ...]
-
-
 CountKey = tuple[int, int, int, int, int]  # (m, l, k0, k1, k2)
 FaceGrid = tuple[tuple[int, ...], ...]  # face rows bottom-up, columns from the wall
 Columns = tuple[tuple[bool, ...], ...]  # arrows per lattice column or segment, bottom-up
 LineFill = tuple[tuple[bool, ...], tuple[bool, ...]]  # (along, other) of one line
+
+
+class LatticeState(NamedTuple):
+    """Arrow assignment on every edge and turn of the 2n x n lattice, by
+    columns as ``column_walk`` yields them (module docstring)."""
+
+    n: int
+    segments: Columns
+    up: Columns
+    turn_positive: tuple[bool, ...]
 
 
 def classify_vertex(upper: bool, w_right: bool, e_right: bool,
@@ -182,8 +185,8 @@ def column_walk(n: int) -> Iterator[tuple[Columns, Columns, tuple[bool, ...]]]:
 
 def enumerate_states(n: int) -> Iterator[LatticeState]:
     """``column_walk``'s states, in its order: ``enumerate --dump`` prints it."""
-    for segments, up, turns in column_walk(n):
-        yield LatticeState(n, tuple(zip(*segments)), up, turns)
+    for columns in column_walk(n):
+        yield LatticeState(n, *columns)
 
 
 def heights(state: LatticeState) -> FaceGrid:
@@ -197,7 +200,7 @@ def heights(state: LatticeState) -> FaceGrid:
     n = state.n
     wall = [0] * (2 * n + 1)
     for r in range(2 * n - 1, -1, -1):
-        wall[r] = wall[r + 1] - (1 if state.right[r][0] else -1)
+        wall[r] = wall[r + 1] - (1 if state.segments[0][r] else -1)
     grid = []
     for fr, h in enumerate(wall):
         row = [h]
@@ -210,11 +213,11 @@ def heights(state: LatticeState) -> FaceGrid:
 
 def state_violations(state: LatticeState) -> list[str]:
     """``column_violations`` of the state, or ``face count`` if misshapen."""
-    n, right, up, turns = state
-    if (n < 1 or [*map(len, right)] != [n + 1] * (2 * n)
+    n, segments, up, turns = state
+    if (n < 1 or [*map(len, segments)] != [2 * n] * (n + 1)
             or [*map(len, up)] != [2 * n + 1] * n or len(turns) != n):
         return ["face count"]
-    return column_violations(n, tuple(zip(*right)), up, turns)
+    return column_violations(*state)
 
 
 def column_violations(n: int, segments: Columns, up: Columns,
@@ -381,6 +384,6 @@ def render_state(state: LatticeState) -> str:
         if fr > 0:
             r = fr - 1
             mark = ")" if r % 2 == 0 else "("  # lower / upper branch of a pair
-            arrows = "---".join(">" if a else "<" for a in state.right[r])
+            arrows = "---".join(">" if seg[r] else "<" for seg in state.segments)
             lines.append(f" {mark} {arrows}")
     return "\n".join(lines) + "\n"

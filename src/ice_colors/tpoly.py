@@ -39,7 +39,6 @@ degree n(n-1) with constant term 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import Poly, SingularInputError, det_exact, interpolate
@@ -56,24 +55,6 @@ def g_eval(x, y, psi, w=1):
     return ((psi + 2 * w) * x * y * s + psi * (2 * psi + w) * s * w
             - 2 * (psi * psi + 3 * psi * w + w * w) * x * y
             - psi * (x * x + y * y) * w)
-
-
-@dataclass(frozen=True)
-class PsiPoint:
-    """A rational psi at which the specialization does not degenerate."""
-
-    psi: Fraction
-
-    def __post_init__(self):
-        if self.psi in (0, -1, Fraction(-1, 2)):
-            raise ValueError("psi in {0, -1, -1/2} degenerates the specialization")
-
-    @staticmethod
-    def from_z(z: Fraction) -> "PsiPoint":
-        z = Fraction(z)
-        if z in (0, 1, -1):
-            raise ValueError("z in {0, 1, -1} is not an admissible sample")
-        return PsiPoint(Fraction(-(1 + z), 2 * z))
 
 
 def _quadratic(at_minus, at_zero, at_plus) -> tuple:
@@ -106,10 +87,13 @@ def _inverse_series(g, rows: int, cols: int) -> list[list[int]]:
     return h
 
 
-def t_at_specialization(point: PsiPoint, n: int) -> Fraction:
+def t_at_specialization(psi: Fraction, n: int) -> Fraction:
     """T at 2n-1 copies of 2*psi+1 and a single psi, by the confluent limit,
-    in integers up to one final division."""
-    p, q = point.psi.numerator, point.psi.denominator
+    in integers up to one final division; psi in {0, -1, -1/2} raises
+    ``ValueError``."""
+    if psi in (0, -1, Fraction(-1, 2)):
+        raise ValueError("psi in {0, -1, -1/2} degenerates the specialization")
+    p, q = psi.numerator, psi.denominator
     a = 2 * p + q  # 2*psi+1 = a/q
     steps = (-1, 0, 1)
     # [V^s] g_eval(a+du, a+V, p, q) for du = -1, 0, 1, then each fitted in du
@@ -147,8 +131,8 @@ def pn_via_T(n: int) -> Poly:
     deg = n * (n - 1)
     samples = []
     for z in range(2, deg + 4):
-        point = PsiPoint.from_z(z)
-        samples.append((z, t_at_specialization(point, n) / t_prefactor(point.psi, n)))
+        psi = Fraction(-(1 + z), 2 * z)
+        samples.append((z, t_at_specialization(psi, n) / t_prefactor(psi, n)))
     poly = interpolate(samples)
     if poly.degree > deg:
         raise SingularInputError("specialized T is not polynomial of expected degree")

@@ -14,8 +14,8 @@ Four families of checks:
   and at the quarter point where it collapses onto the determinant route
   through the exact polynomials;
 * exact structural invariants of every enumerated state, each state
-  checked by ``lattice.column_violations``: ``lattice_suite``, defined in
-  ``worker`` and re-exported here.
+  checked by ``lattice.column_violations``: ``worker.lattice_suite``, which
+  runs apart from this module and the numeric layer.
 
 Every report carries the worst relative residual over the requested trials
 and a pass flag at the suite's tolerance.
@@ -37,10 +37,7 @@ from .theta import (OMEGA, TWO_PI_I, ModelParams, ParamSampler,
                     partition_filali, partition_transfer, psi_numeric, resample,
                     theta, theta_pm, x_numeric)
 from .tpoly import g_eval, t_prefactor
-# The lattice suite lives with its worker, which must not load theta; its
-# names, and the check of one state, stay importable from here.
-from .lattice import state_violations  # noqa: F401
-from .worker import IdentityReport, lattice_suite  # noqa: F401
+from .worker import IdentityReport
 
 POINTWISE_TOL = 1e-10
 DETERMINANT_TOL = 1e-8

@@ -3,9 +3,10 @@
 ``lattice_suite`` checks every state of each size by
 ``lattice.column_violations``, straight on ``lattice.column_walk``'s
 columns; it and its ``IdentityReport`` live here, apart from the numeric
-layer, and ``verify`` re-exports both.  ``forked(name, work)`` runs
-``work()`` in a child made by ``os.fork`` (POSIX only, like the
-``SIGALRM`` timer of ``--time-budget``) while the parent goes on.
+layer, and ``verify`` imports only the latter, for its own reports.
+``forked(name, work)`` runs ``work()`` in a child made by ``os.fork``
+(POSIX only, like the ``SIGALRM`` timer of ``--time-budget``) while the
+parent goes on.
 ``verify`` forks two: the lattice worker first, before it loads ``theta``
 and ``verify`` (that worker needs neither), then, once the parent has drawn
 the pointwise identities' arguments, the identity worker that evaluates

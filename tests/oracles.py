@@ -34,7 +34,10 @@ package's per-face-row tally in ``count_table``, and vertex kinds per state
 from one ``classify_vertex`` call per vertex (``vertex_census``), apart from
 the package's cached column tallies (``lattice._column_tally``), and the
 left-arrow row by a scan of segment n-1 (``left_arrow_row``), apart from
-``lattice.state_violations``.
+``lattice.state_violations``.  The state builders here fill row-major
+working arrays, ``right[r][s]`` for row r and segment s, and transpose them
+themselves into ``LatticeState``'s segment columns; nothing here uses
+``lattice.column_walk``.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ def all_assignment_states(n: int) -> list[LatticeState]:
         if ok:
             states.append(LatticeState(
                 n,
-                tuple(tuple(row) for row in right),
+                tuple(zip(*right)),
                 tuple(tuple(col) for col in up),
                 tuple(not right[2 * i][0] for i in range(n)),
             ))
@@ -116,7 +119,7 @@ def vertex_walk_states(n: int) -> list[LatticeState]:
             if r == rows:
                 if c + 1 == n:
                     states.append(LatticeState(
-                        n, tuple(map(tuple, right)), tuple(map(tuple, up)), turns))
+                        n, tuple(zip(*right)), tuple(map(tuple, up)), turns))
                 else:
                     walk(c + 1, 0)
                 return
@@ -143,7 +146,7 @@ def color_counts(grid: FaceGrid) -> tuple[int, int, int]:
 def left_arrow_row(state: LatticeState) -> int:
     """Row (1-based from below) of the unique left arrow at segment n-1."""
     n = state.n
-    hits = [r for r in range(2 * n) if not state.right[r][n - 1]]
+    hits = [r for r in range(2 * n) if not state.segments[n - 1][r]]
     if len(hits) != 1:
         raise LeftArrowError(
             f"expected one left arrow at segment {n - 1}, found rows {hits}"
@@ -154,10 +157,10 @@ def left_arrow_row(state: LatticeState) -> int:
 def classified_grid(state: LatticeState) -> tuple[tuple[str, ...], ...]:
     """Kind of every vertex, [row][column], one ``classify_vertex`` call
     each."""
-    n = state.n
+    n, segments, up, _turns = state
     return tuple(
-        tuple(classify_vertex(r % 2 == 1, state.right[r][c], state.right[r][c + 1],
-                              state.up[c][r], state.up[c][r + 1])
+        tuple(classify_vertex(r % 2 == 1, segments[c][r], segments[c + 1][r],
+                              up[c][r], up[c][r + 1])
               for c in range(n))
         for r in range(2 * n))
 

@@ -6,13 +6,12 @@ complete.  Budgets are wall-clock and asserted.
 
 import time
 
-from ice_colors.lattice import count_table, enumerate_states
+from ice_colors.lattice import count_table, enumerate_states, state_violations
 from ice_colors.pn import (VARIANTS, pn_consistent, pn_from_counts,
                            positivity_report, symmetry_check)
 from ice_colors.theta import ParamSampler, partition_filali, partition_transfer, resample
 from ice_colors.tpoly import pn_via_T
-from ice_colors.verify import (identity_suite, relerr, specialization_check,
-                               state_violations)
+from ice_colors.verify import identity_suite, relerr, specialization_check
 
 from oracles import all_assignment_states, transfer_counts_by_m
 

@@ -175,9 +175,8 @@ def test_state_breaking_lattice_rules_is_reported(capsys, monkeypatch):
     # it must count as a failed state, not escape as a traceback.
     state = next(iter(enumerate_states(1)))
     flipped = (state.up[0][0], not state.up[0][1], state.up[0][2])
-    broken = LatticeState(1, state.right, (flipped,), state.turn_positive)
-    columns = (tuple(zip(*broken.right)), broken.up, broken.turn_positive)
-    monkeypatch.setattr(worker, "column_walk", lambda n: iter([columns]))
+    broken = LatticeState(1, state.segments, (flipped,), state.turn_positive)
+    monkeypatch.setattr(worker, "column_walk", lambda n: iter([broken[1:]]))
     code, out, err = run_cli(capsys, "verify", "--suite", "lattice", "--n", "1")
     assert (code, err) == (1, "")
     assert json.loads(out) == [{"name": "state_invariants_n1", "trials": 1,
@@ -191,7 +190,7 @@ def test_verify_equals_the_suites_run_in_process(capsys, seed, n):
     code, out, err = run_cli(capsys, "verify", "--suite", "all", "--n", str(n),
                              "--seed", str(seed))
     sampler = ParamSampler(seed)
-    reports = (verify.lattice_suite(max_n=n)
+    reports = (worker.lattice_suite(max_n=n)
                + verify.identity_suite(sampler, trials=100)
                + verify.filali_suite(sampler, trials=20)
                + verify.specialization_suite(sampler, trials=5))
@@ -497,12 +496,15 @@ def test_budget_bounds_the_compute():
 
 def test_cli_import_leaves_the_numeric_layer_unloaded():
     # Only verify loads theta, verify and worker, so no other command
-    # compiles them.
+    # compiles them; and no module the CLI loads defines a dataclass, so
+    # dataclasses and inspect stay unloaded unless the interpreter started
+    # with them.
     src = str(Path(ice_colors.__file__).resolve().parents[1])
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, ice_colors.cli; print(sorted("
-         "m for m in ('ice_colors.theta', 'ice_colors.verify', 'ice_colors.worker')"
-         " if m in sys.modules))"],
+        [sys.executable, "-c", "import sys; start = set(sys.modules); "
+         "import ice_colors.cli; print(sorted(set(sys.modules).difference(start)"
+         ".intersection(('ice_colors.theta', 'ice_colors.verify', 'ice_colors.worker',"
+         " 'dataclasses', 'inspect'))))"],
         capture_output=True, text=True, timeout=30,
         env={**os.environ, "PYTHONPATH": src})
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

@@ -8,10 +8,10 @@ import pytest
 
 from ice_colors import lattice, worker
 from ice_colors.lattice import (VERTEX_KINDS, CountTable, IceRuleError,
-                                LatticeState, LeftArrowError, column_walk,
-                                count_table, enumerate_states, heights,
-                                render_state, state_violations)
-from ice_colors.verify import lattice_suite
+                                LatticeState, LeftArrowError, count_table,
+                                enumerate_states, heights, render_state,
+                                state_violations)
+from ice_colors.worker import lattice_suite
 
 from oracles import (all_assignment_states, classified_grid, color_counts,
                      left_arrow_row, transfer_counts_by_m, vertex_census,
@@ -71,18 +71,6 @@ def test_enumeration_order_matches_vertex_walk():
         assert list(enumerate_states(n)) == vertex_walk_states(n)
 
 
-def test_enumerate_states_is_the_column_walk_transposed():
-    # The lattice suite checks the walk's columns and --dump prints the
-    # states: the same states, in the same order.
-    for n in range(1, 6):
-        states = 0
-        for state, (segments, up, turns) in zip(enumerate_states(n), column_walk(n),
-                                                strict=True):
-            assert state == LatticeState(n, tuple(zip(*segments)), up, turns)
-            states += 1
-        assert states == count_table(n).total()
-
-
 def test_heights_upper_left_zero_and_boundary():
     for n in (1, 2, 3):
         for s in enumerate_states(n):
@@ -108,16 +96,14 @@ def test_adjacent_faces_differ_by_one():
 
 
 # An n=3 state whose heights and coloring were worked out by hand,
-# frozen here as an oracle (rows bottom-up).
+# frozen here as an oracle (each segment's arrows bottom-up).
 REFERENCE_STATE = LatticeState(
     n=3,
-    right=(
-        (True, True, True, True),
-        (False, False, True, True),
-        (False, True, True, True),
-        (True, True, False, True),
-        (True, False, True, True),
-        (False, True, True, True),
+    segments=(
+        (True, False, False, True, True, False),
+        (True, False, True, True, False, True),
+        (True, True, True, False, True, True),
+        (True, True, True, True, True, True),
     ),
     up=(
         (True, True, True, False, False, True, False),
@@ -157,8 +143,7 @@ def test_census_identities_all_states():
 def column_tallies(s):
     """Each column's cached tally from the wall, as ``state_violations``
     reads them."""
-    segments = tuple(zip(*s.right))
-    return [lattice._column_tally(segments[c], segments[c + 1], s.up[c])
+    return [lattice._column_tally(s.segments[c], s.segments[c + 1], s.up[c])
             for c in range(s.n)]
 
 
@@ -263,7 +248,8 @@ def test_left_arrow_error_on_corrupt_state():
     (((False, False), (False, False)), ((False, False, False),), [0, 1]),
 ])
 def test_state_violations_reports_left_arrow_count(right, up, rows):
-    # Every vertex obeys the ice rule, but segment 0 has no left arrow or two.
+    # Every vertex obeys the ice rule, but segment 0 has no left arrow or
+    # two; ``right`` is both segments' arrows, all pointing one way.
     s = LatticeState(1, right, up, (True,))
     assert state_violations(s) == [
         f"expected one left arrow at segment 0, found rows {rows}"]
@@ -282,32 +268,32 @@ def single_corruptions(s):
     n = s.n
     for r in range(2 * n):
         for seg in range(n + 1):
-            yield LatticeState(n, _flip(s.right, r, seg), s.up, s.turn_positive)
+            yield LatticeState(n, _flip(s.segments, seg, r), s.up, s.turn_positive)
     for c in range(n):
         for t in range(2 * n + 1):
-            yield LatticeState(n, s.right, _flip(s.up, c, t), s.turn_positive)
+            yield LatticeState(n, s.segments, _flip(s.up, c, t), s.turn_positive)
     for i in range(n):
         turns = list(s.turn_positive)
         turns[i] = not turns[i]
-        yield LatticeState(n, s.right, s.up, tuple(turns))
+        yield LatticeState(n, s.segments, s.up, tuple(turns))
 
 
 def reshaped(s):
-    """``s`` with one row, column or turn too many or too few, one row or
-    column a segment too short or too long, or the wrong ``n``."""
-    n, right, up, turns = s
-    yield LatticeState(n, right[:-1], up, turns)
-    yield LatticeState(n, right + right[-1:], up, turns)
-    yield LatticeState(n, right[:-1] + (right[-1][:-1],), up, turns)
-    yield LatticeState(n, right[:-1] + (right[-1] + (True,),), up, turns)
-    yield LatticeState(n, right, up[:-1], turns)
-    yield LatticeState(n, right, up + up[-1:], turns)
-    yield LatticeState(n, right, up[:-1] + (up[-1][:-1],), turns)
-    yield LatticeState(n, right, (up[0] + (False,),) + up[1:], turns)
-    yield LatticeState(n, right, up, turns[:-1])
-    yield LatticeState(n, right, up, turns + (True,))
-    yield LatticeState(n + 1, right, up, turns)
-    yield LatticeState(n - 1, right, up, turns)
+    """``s`` with one segment, column or turn too many or too few, one
+    segment or column an arrow too short or too long, or the wrong ``n``."""
+    n, segments, up, turns = s
+    yield LatticeState(n, segments[:-1], up, turns)
+    yield LatticeState(n, segments + segments[-1:], up, turns)
+    yield LatticeState(n, segments[:-1] + (segments[-1][:-1],), up, turns)
+    yield LatticeState(n, segments[:-1] + (segments[-1] + (True,),), up, turns)
+    yield LatticeState(n, segments, up[:-1], turns)
+    yield LatticeState(n, segments, up + up[-1:], turns)
+    yield LatticeState(n, segments, up[:-1] + (up[-1][:-1],), turns)
+    yield LatticeState(n, segments, (up[0] + (False,),) + up[1:], turns)
+    yield LatticeState(n, segments, up, turns[:-1])
+    yield LatticeState(n, segments, up, turns + (True,))
+    yield LatticeState(n + 1, segments, up, turns)
+    yield LatticeState(n - 1, segments, up, turns)
 
 
 def frozen_cases():
@@ -365,17 +351,17 @@ def test_state_violations_output_is_frozen():
 
 def test_misshapen_states_report_face_count():
     # Each has the concatenated shape of a well-formed state, but not its
-    # row, column or turn counts.
+    # segment, column or turn counts.
     s = next(iter(enumerate_states(1)))
     assert state_violations(LatticeState(0, (), (), ())) == ["face count"]
-    shifted = LatticeState(1, s.right + ((True, True, True),), (), (True,))
+    shifted = LatticeState(1, s.segments + ((True, True, True),), (), (True,))
     assert state_violations(shifted) == ["face count"]
 
 
 def test_corrupt_edge_breaks_classification():
     s = next(iter(enumerate_states(1)))
     flipped_mid = tuple((s.up[0][0], not s.up[0][1], s.up[0][2]))
-    broken = LatticeState(1, s.right, (flipped_mid,), s.turn_positive)
+    broken = LatticeState(1, s.segments, (flipped_mid,), s.turn_positive)
     with pytest.raises(IceRuleError):
         column_tallies(broken)
 
@@ -402,7 +388,7 @@ def test_state_violations_checks_turns_against_wall():
             for i, j in ((i, j) for i in range(n) for j in range(n) if turns[i] and not turns[j]):
                 swapped = list(turns)
                 swapped[i], swapped[j] = False, True
-                broken = LatticeState(n, state.right, state.up, tuple(swapped))
+                broken = LatticeState(n, state.segments, state.up, tuple(swapped))
                 found = state_violations(broken)
                 assert f"turn {i} heights" in found and f"turn {j} heights" in found
                 cases += 1
@@ -420,7 +406,7 @@ def breaks_ice_rule(state):
     """Some vertex has other than two inward arrows, counted directly."""
     n = state.n
     return any(
-        int(state.right[r][c]) + int(not state.right[r][c + 1])
+        int(state.segments[c][r]) + int(not state.segments[c + 1][r])
         + int(state.up[c][r]) + int(not state.up[c][r + 1]) != 2
         for r in range(2 * n) for c in range(n))
 
@@ -463,7 +449,7 @@ def test_lattice_suite_verdicts_are_state_violations(monkeypatch):
                         for n in range(1, 5) for s in enumerate_states(n)]
     shaped = [s for s in frozen_cases() if state_violations(s) != ["face count"]]
     monkeypatch.setattr(worker, "column_walk", lambda n: (
-        (tuple(zip(*s.right)), s.up, s.turn_positive) for s in shaped if s.n == n))
+        s[1:] for s in shaped if s.n == n))
     verdicts.clear()
     reports = lattice_suite(3)
     expected = [[bool(state_violations(s)) for s in shaped if s.n == n] for n in (1, 2, 3)]
@@ -489,8 +475,7 @@ def test_lattice_suite_reads_cached_column_tallies(monkeypatch):
     states = [s for n in (1, 2, 3) for s in enumerate_states(n)]
     columns = set()
     for s in states:
-        segments = tuple(zip(*s.right))
-        columns.update((segments[c], segments[c + 1], s.up[c]) for c in range(s.n))
+        columns.update((s.segments[c], s.segments[c + 1], s.up[c]) for c in range(s.n))
     assert [(r.trials, r.passed) for r in reports] == [(2, True), (12, True), (208, True)]
     assert calls == 0
     assert tallied.misses == len(columns)

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ice_colors.tpoly import (PsiPoint, g_eval, pn_via_T, t_at_specialization,
-                              t_prefactor)
+from ice_colors.tpoly import g_eval, pn_via_T, t_at_specialization, t_prefactor
 
 from oracles import t_distinct, t_perturbation_limit
 
@@ -64,17 +63,17 @@ def test_t_symmetric_within_groups_and_across():
 
 def test_coalesced_n1_is_one():
     for psi in (Fraction(2), Fraction(-3, 4), Fraction(5, 7)):
-        assert t_at_specialization(PsiPoint(psi), 1) == 1
+        assert t_at_specialization(psi, 1) == 1
 
 
 def test_specialization_matches_perturbation_oracle():
     for n in (1, 2, 3, 4, 5):
         for z in (Fraction(2), Fraction(3), Fraction(7, 3), Fraction(-5, 2),
                   Fraction(1, 4)):
-            point = PsiPoint.from_z(z)
-            targets = [2 * point.psi + 1] * (2 * n - 1) + [point.psi]
-            assert (t_at_specialization(point, n)
-                    == t_perturbation_limit(targets, point.psi)), (n, z)
+            psi = -(1 + z) / (2 * z)
+            targets = [2 * psi + 1] * (2 * n - 1) + [psi]
+            assert (t_at_specialization(psi, n)
+                    == t_perturbation_limit(targets, psi)), (n, z)
 
 
 admissible_psi = st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(
@@ -89,30 +88,26 @@ admissible_psi = st.fractions(min_value=-9, max_value=9, max_denominator=12).fil
 def test_specialization_matches_perturbation_oracle_at_drawn_psi(psi, n):
     # The integer evaluation scales by powers of psi's numerator and
     # denominator; negative and fractional psi exercise their signs.
-    point = PsiPoint(psi)
-    targets = [2 * point.psi + 1] * (2 * n - 1) + [psi]
-    assert t_at_specialization(point, n) == t_perturbation_limit(targets, psi)
+    targets = [2 * psi + 1] * (2 * n - 1) + [psi]
+    assert t_at_specialization(psi, n) == t_perturbation_limit(targets, psi)
 
 
 @settings(max_examples=30)
 @given(fractions)
 def test_g_closed_forms_at_coalesced_point(psi):
     # The confluent formula divides by G(a, a) and G(a, psi), a = 2*psi+1;
-    # both vanish only at psi in {0, -1, -1/2}, which PsiPoint rejects.
+    # both vanish only at psi in {0, -1, -1/2}, which t_at_specialization
+    # rejects.
     a = 2 * psi + 1
     assert g_eval(a, a, psi) == 2 * (psi + 1) ** 2 * (2 * psi + 1) ** 2
     assert g_eval(a, psi, psi) == 2 * psi ** 2 * (psi + 1) ** 2
 
 
-def test_psi_point_admissibility():
-    with pytest.raises(ValueError):
-        PsiPoint(Fraction(0))
-    with pytest.raises(ValueError):
-        PsiPoint(Fraction(-1, 2))
-    with pytest.raises(ValueError):
-        PsiPoint.from_z(Fraction(1))
-    point = PsiPoint.from_z(Fraction(2))
-    assert point.psi == Fraction(-3, 4)
+def test_t_at_specialization_rejects_degenerate_psi():
+    for n in (1, 2, 3):
+        for psi in (Fraction(0), Fraction(-1), Fraction(-1, 2)):
+            with pytest.raises(ValueError, match="degenerates the specialization"):
+                t_at_specialization(psi, n)
 
 
 def test_pn_via_T_small():
@@ -137,7 +132,7 @@ def test_t_is_prefactor_times_pn_off_the_sample_grid():
     for n in (1, 2, 3, 4):
         poly = pn_via_T(n)
         for psi in OFF_GRID_PSI:
-            assert (t_at_specialization(PsiPoint(psi), n)
+            assert (t_at_specialization(psi, n)
                     == t_prefactor(psi, n) * poly(-1 / (2 * psi + 1))), (n, psi)
 
 

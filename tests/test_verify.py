@@ -7,11 +7,11 @@ from ice_colors import lattice, theta, verify
 from ice_colors.lattice import CountTable, count_table
 from ice_colors.pn import pn_consistent
 from ice_colors.theta import ParamSampler, resample
-from ice_colors.verify import (IdentityReport, POINTWISE_TOL, filali_suite,
-                               grouped_state_sum, identity_draws, identity_reports,
-                               identity_suite, lattice_suite,
+from ice_colors.verify import (POINTWISE_TOL, filali_suite, grouped_state_sum,
+                               identity_draws, identity_reports, identity_suite,
                                quarter_point_state_sum, relerr,
                                specialization_check, specialization_suite)
+from ice_colors.worker import IdentityReport, lattice_suite
 
 
 def test_relerr():
