@@ -30,7 +30,7 @@ from itertools import chain
 
 from . import __version__
 from .exact import SingularInputError, format_fraction
-from .lattice import count_table, enumerate_states, render_state
+from .lattice import count_table
 from .pn import (VARIANTS, ConsistencyError, pn_consistent, positivity_report,
                  symmetry_check)
 
@@ -109,6 +109,8 @@ def _emit(report: str | Iterator[str], args: argparse.Namespace) -> bool:
 
 def _dump(n: int) -> Iterator[str]:
     """Each state's grid, then the number of states."""
+    from .states import enumerate_states, render_state  # only --dump builds states
+
     count = 0
     for count, state in enumerate(enumerate_states(n), 1):
         yield render_state(state) + "\n"
@@ -127,7 +129,7 @@ def _cmd_counts(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_pn(args: argparse.Namespace) -> tuple[str, int]:
-    poly = pn_consistent(args.n, count_table(args.n))
+    poly = pn_consistent(args.n)
     variants_checked = [
         f"{v.tag}:m={m}" for v in VARIANTS for m in range(args.n + 1)
         if v.binomial(args.n, m) != 0

@@ -42,9 +42,6 @@ class Poly:
         """Degree, with -1 standing in for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
             return self.coeffs == other.coeffs

@@ -1,17 +1,19 @@
 """Polynomials from three-color state counts, three ways.
 
-Each variant turns the count table into a signed sum of terms
+Each variant turns the state counts into a signed sum of terms
 ``count * (z+1)^(n(n-1)) * (z(z-1)/(z+1)^2)^e`` over rows ``l`` congruent to
 ``n`` mod 3, where the exponent ``e`` depends on the census of one face
-color.  Every term ``z^e (z-1)^e (z+1)^(n(n-1)-2e)`` is a product of two
-binomial expansions with integer coefficients, so the sum is accumulated in
-plain integers.  A nonzero count at an exponent outside ``[0, n(n-1)/2]``
-makes the sum a non-polynomial, which marks corrupt input.  The raw sum
-equals a binomial coefficient times one and the same polynomial for every
-variant and every admissible number of positive turns.  Comparing the
-sums across variants in integers, each times the other's binomial, and
-the first one over its binomial against the determinant route, is the
-strongest end-to-end check this model admits.
+color, so it needs only that color's ``(m, l, k_c)`` marginal
+(``lattice.color_marginals``), or a joint ``(m, l, k0, k1, k2)`` table read
+at that color.  Every term ``z^e (z-1)^e (z+1)^(n(n-1)-2e)`` is a product
+of two binomial expansions with integer coefficients, so the sum is
+accumulated in plain integers.  A nonzero count at an exponent outside
+``[0, n(n-1)/2]`` makes the sum a non-polynomial, which marks corrupt
+input.  The raw sum equals a binomial coefficient times one and the same
+polynomial for every variant and every admissible number of positive
+turns.  Comparing the sums across variants in integers, each times the
+other's binomial, and the first one over its binomial against the
+determinant route, is the strongest end-to-end check this model admits.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from math import comb, lcm
 from typing import NamedTuple
 
 from .exact import Poly, SingularInputError, format_fraction
-from .lattice import CountTable, count_table
+from .lattice import CountTable, color_marginals
 from .tpoly import pn_via_T
 
 
@@ -98,8 +100,12 @@ def _assemble(sums: dict[int, int], n: int) -> list[int]:
     return acc
 
 
-def _raw_sum(table: CountTable, n: int, m: int, variant: CountFormula) -> list[int]:
-    """``pn_from_counts`` as ascending integer coefficients.
+def _raw_sum(counts: dict, n: int, m: int, variant: CountFormula,
+             col: int) -> list[int]:
+    """The raw variant sum, the binomial times the polynomial, as ascending
+    integer coefficients, from ``counts`` keyed ``(m, l, ...)`` with the
+    variant's color census at ``key[col]``: a joint table's ``2 + color``,
+    a color marginal's 2.
 
     A cell in row ``l'`` enters row ``l = l' - off`` for the one row offset
     (the two differ by one) with ``l`` congruent to ``n`` mod 3, signed by
@@ -108,17 +114,15 @@ def _raw_sum(table: CountTable, n: int, m: int, variant: CountFormula) -> list[i
     3k + shift, three times its exponent; each distinct exponent is tested
     once for divisibility by 3, at the first nonzero cell that has it.
     """
-    if table.n != n:
-        raise ValueError("count table does not match n")
     if not 0 <= m <= n:
         raise ValueError("m out of range")
-    col, rows, sums = 2 + variant.color, {}, {}
-    for row in {key[1] for key in table.counts}:
+    rows, sums = {}, {}
+    for row in {key[1] for key in counts}:
         for off in variant.row_offsets():
             if (row - off - n) % 3 == 0:
                 l = row - off
                 rows[row] = (variant.exponent_numerator(n, m, l, 0), -1 if (n + l) % 2 else 1, l)
-    for key, cnt in table.counts.items():
+    for key, cnt in counts.items():
         if key[0] == m and cnt and key[1] in rows:
             shift, sign, l = rows[key[1]]
             e3 = 3 * key[col] + shift
@@ -138,31 +142,39 @@ def _raw_sum(table: CountTable, n: int, m: int, variant: CountFormula) -> list[i
         ) from err
 
 
-def pn_from_counts(table: CountTable, n: int, m: int, variant: CountFormula) -> Poly:
-    """Raw variant sum (the binomial times the polynomial), exact."""
-    return Poly(_raw_sum(table, n, m, variant))
+def _split_by_m(counts: dict, n: int) -> dict[int, dict]:
+    """The cells of each m in 0..n, in insertion order; others are dropped."""
+    by_m: dict[int, dict] = {m: {} for m in range(n + 1)}
+    for key, cnt in counts.items():
+        if key[0] in by_m:
+            by_m[key[0]][key] = cnt
+    return by_m
 
 
 def pn_consistent(n: int, table: CountTable | None = None) -> Poly:
     """The polynomial, computed from every variant/m and from the
     determinant route, with exact agreement enforced.
 
-    The table is split by m in one pass, in insertion order, so each
-    variant/m sum reads only its own cells.  Every sum is formed before any
-    is compared, in integers: raw * binom_ref == raw_ref * binom.
+    Each variant reads one color's census.  Without a table, each reads its
+    own color's ``(m, l, k_c)`` marginal from ``color_marginals``; a joint
+    table's cells are read at ``key[2 + color]``, with no marginalization.
+    The cells are split by m in one pass per source, in insertion order, so
+    each variant/m sum reads only its own cells.  Every sum is formed before
+    any is compared, in integers: raw * binom_ref == raw_ref * binom.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if table is None:
-        table = count_table(n)
-    by_m = {m: CountTable(table.n, {}) for m in range(n + 1)}
-    for key, cnt in table.counts.items():
-        if key[0] in by_m:
-            by_m[key[0]].counts[key] = cnt
+        sources = [(_split_by_m(marginal, n), 2) for marginal in color_marginals(n)]
+    elif table.n != n:
+        raise ValueError("count table does not match n")
+    else:
+        by_m = _split_by_m(table.counts, n)
+        sources = [(by_m, 2 + variant.color) for variant in VARIANTS]
     raws = []
-    for variant in VARIANTS:
+    for variant, (by_m, col) in zip(VARIANTS, sources):
         for m in range(n + 1):
-            raw = _raw_sum(by_m[m], n, m, variant)
+            raw = _raw_sum(by_m[m], n, m, variant, col)
             binom = variant.binomial(n, m)
             label = f"{variant.tag}:m={m}"
             if binom == 0 and any(raw):

@@ -1,0 +1,227 @@
+"""The lattice's states one at a time: their walk, their face heights, their
+dump and the exact check of their rules.
+
+Only ``enumerate --dump``, the lattice suite (``worker``) and the state sum's
+vertex weights (``theta``) need states or their vertices; counting them
+(``lattice``) builds none and imports nothing from here.
+
+A state of half-size ``n`` is held by columns (``lattice`` has the rows,
+double lines, turns and faces):
+
+* ``segments[s][r]`` for ``s = 0 .. n`` holds the horizontal edge arrow of
+  row ``r`` at segment ``s`` (``True`` = points right), so each segment is
+  a column of arrows, bottom-up.  Segment ``0`` adjoins the turns, segment
+  ``n`` is the outgoing right boundary.
+* ``up[c][t]`` for ``t = 0 .. 2n`` holds the vertical edge arrows of column
+  ``c`` (``True`` = points up).  ``t = 0`` is the bottom boundary edge.
+* ``turn_positive[i]`` is ``True`` when the flow enters turn ``i`` on the
+  lower branch and leaves on the upper one (a "positive" turn).
+
+The east arrows of a column agree with the heights carried over from its
+west side exactly when its every vertex obeys the ice rule, and a turn
+matches its wall faces exactly when its two segment-0 arrows follow its flow.
+So heights exist exactly when both hold everywhere (Lenard's bijection):
+``column_violations`` judges a state by these rules, and ``heights`` trusts
+it.  ``column_walk`` lists the states as these columns, and
+``enumerate_states`` wraps each in a ``LatticeState``.
+"""
+
+from __future__ import annotations
+
+from functools import cache
+from itertools import product
+from math import comb
+from operator import not_
+from typing import Iterator, NamedTuple
+
+from .lattice import LatticeError, LineFill, line_fills
+
+
+class IceRuleError(LatticeError):
+    """A vertex does not have exactly two inward and two outward arrows."""
+
+
+VERTEX_KINDS = ("a+", "a-", "b+", "b-", "c+", "c-")
+
+# Vertex classification by the arrow pattern (W_right, E_right, S_up, N_up).
+# Upper rows are read in the standard orientation; lower rows are read a
+# quarter turn clockwise because the flow on the lower branch runs leftward:
+# turned so, a lower (W, E, S, N) reads as an upper (S, N, not E, not W).
+_UPPER_KIND = {
+    (True, True, True, True): "a+",
+    (False, False, False, False): "a-",
+    (True, True, False, False): "b+",
+    (False, False, True, True): "b-",
+    (True, False, False, True): "c+",
+    (False, True, True, False): "c-",
+}
+_LOWER_KIND = {(not n, not s, w, e): kind for (w, e, s, n), kind in _UPPER_KIND.items()}
+
+
+FaceGrid = tuple[tuple[int, ...], ...]  # face rows bottom-up, columns from the wall
+Columns = tuple[tuple[bool, ...], ...]  # arrows per lattice column or segment, bottom-up
+
+
+class LatticeState(NamedTuple):
+    """Arrow assignment on every edge and turn of the 2n x n lattice, by
+    columns as ``column_walk`` yields them (module docstring)."""
+
+    n: int
+    segments: Columns
+    up: Columns
+    turn_positive: tuple[bool, ...]
+
+
+def classify_vertex(upper: bool, w_right: bool, e_right: bool,
+                    s_up: bool, n_up: bool) -> str:
+    table = _UPPER_KIND if upper else _LOWER_KIND
+    try:
+        return table[(w_right, e_right, s_up, n_up)]
+    except KeyError:
+        raise IceRuleError(
+            f"arrow pattern {(w_right, e_right, s_up, n_up)} breaks the ice rule"
+        ) from None
+
+
+@cache
+def _column_tally(west: tuple[bool, ...], east: tuple[bool, ...],
+                  up: tuple[bool, ...]) -> tuple[int, ...]:
+    """Vertex count per kind, in ``VERTEX_KINDS`` order, of one vertex
+    column from the horizontal arrows on its west and east sides and its
+    vertical edges; raises :class:`IceRuleError` where a vertex breaks the
+    ice rule.
+
+    Cached for the process: a column's tally depends on its arrows only.  A
+    column that breaks the ice rule raises and so is never cached."""
+    kinds = [classify_vertex(r % 2 == 1, west[r], east[r], up[r], up[r + 1])
+             for r in range(len(west))]
+    return tuple(map(kinds.count, VERTEX_KINDS))
+
+
+def column_walk(n: int) -> Iterator[tuple[Columns, Columns, tuple[bool, ...]]]:
+    """Yield every admissible state once, in a fixed order, by columns:
+    ``(segments, up, turns)``, each segment's horizontal arrows from the
+    wall's (0) to the right boundary's (n), each lattice column's vertical
+    edges, both bottom-up, and the turn signs.
+
+    A depth-first search fills one lattice column at a time from the wall,
+    each by a ``line_fills`` walk up it (listed once per call), all its east
+    arrows pointing right in the last.  The order is the turn signs in
+    ``itertools.product`` order, then, column by column and bottom-up, each
+    vertex's ``_COMPLETIONS`` in turn, the earliest varying slowest."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    ups: list[tuple[bool, ...]] = [()] * n
+    segments: list[tuple[bool, ...]] = [()] * (n + 1)
+
+    @cache  # memos live for this call only
+    def fills(west: tuple[bool, ...], last: bool) -> list[LineFill]:
+        return [fill for fill in line_fills(west, True, False) if not last or all(fill[1])]
+
+    def search(c: int) -> Iterator[tuple[Columns, Columns, tuple[bool, ...]]]:
+        last = c == n - 1
+        for ups[c], segments[c + 1] in fills(segments[c], last):
+            if last:
+                yield tuple(segments), tuple(ups), turns
+            else:
+                yield from search(c + 1)
+
+    for turns in product((False, True), repeat=n):
+        # Positive turn: lower branch arrow points left (into the turn),
+        # upper branch arrow points right (out of it).  Negative: reversed.
+        segments[0] = tuple(arrow for pos in turns for arrow in (not pos, pos))
+        yield from search(0)
+
+
+def enumerate_states(n: int) -> Iterator[LatticeState]:
+    """``column_walk``'s states, in its order: ``enumerate --dump`` prints it."""
+    for columns in column_walk(n):
+        yield LatticeState(n, *columns)
+
+
+def heights(state: LatticeState) -> FaceGrid:
+    """Face heights by a direct scan; the state is taken as valid.
+
+    Each arrow makes the face on its right one lower.  The scan walks down
+    the wall column from the pinned upper-left face (0) through the
+    segment-0 arrows, then along each face row through the vertical arrows.
+    It checks nothing: ``state_violations`` judges the state.
+    """
+    n = state.n
+    wall = [0] * (2 * n + 1)
+    for r in range(2 * n - 1, -1, -1):
+        wall[r] = wall[r + 1] - (1 if state.segments[0][r] else -1)
+    grid = []
+    for fr, h in enumerate(wall):
+        row = [h]
+        for c in range(n):
+            h += -1 if state.up[c][fr] else 1
+            row.append(h)
+        grid.append(tuple(row))
+    return tuple(grid)
+
+
+def state_violations(state: LatticeState) -> list[str]:
+    """``column_violations`` of the state, or ``face count`` if misshapen."""
+    n, segments, up, turns = state
+    if (n < 1 or [*map(len, segments)] != [2 * n] * (n + 1)
+            or [*map(len, up)] != [2 * n + 1] * n or len(turns) != n):
+        return ["face count"]
+    return column_violations(*state)
+
+
+def column_violations(n: int, segments: Columns, up: Columns,
+                      turns: tuple[bool, ...]) -> list[str]:
+    """Every exact per-state rule of a state of size ``n`` as ``column_walk``
+    yields it, as human-readable failures or a broken lattice rule's
+    message, by Lenard's bijection (module docstring): one ``_column_tally``
+    lookup per column, no face grid, and a message only for a failed rule."""
+    b = c = 0
+    try:
+        for west, east, column in zip(segments, segments[1:], up):
+            _, _, b_p, b_m, c_p, c_m = _column_tally(west, east, column)
+            b += b_p - b_m
+            c += c_p - c_m
+    except IceRuleError as err:
+        return [str(err)]
+    last = segments[n - 1]
+    if last.count(False) != 1:
+        lefts = [r for r, arrow in enumerate(last) if not arrow]
+        return [f"expected one left arrow at segment {n - 1}, found rows {lefts}"]
+    odd = last.index(False) % 2 == 0  # the left arrow's row l, 1-based, is odd
+    bad = []
+    if b != comb(n + 1, 2):
+        bad.append("b+ / b- census identity")
+    if c + 2 * turns.count(False) != n:
+        bad.append("c+ / c- / k- census identity")
+    if b_p != n or b_m != 0:  # b_p .. c_m: the loop's last, the rightmost column
+        bad.append("rightmost-column b census")
+    if c_p != odd:
+        bad.append("rightmost-column c+ count")
+    if c_m != (not odd):
+        bad.append("rightmost-column c- count")
+    wall = segments[0]
+    if wall[1::2] != turns or wall[::2] != tuple(map(not_, turns)):
+        bad += [f"turn {i} heights" for i, pos in enumerate(turns)
+                if (wall[2 * i], wall[2 * i + 1]) != (not pos, pos)]
+    return bad
+
+
+def render_state(state: LatticeState) -> str:
+    """ASCII dump: arrows interleaved with the face height grid."""
+    n = state.n
+    grid = heights(state)
+    lines = []
+    for fr in range(2 * n, -1, -1):
+        cells = []
+        for fc in range(n + 1):
+            cells.append(f"{grid[fr][fc]:>3}")
+            if fc < n:
+                cells.append("^" if state.up[fc][fr] else "v")
+        lines.append("   " + " ".join(cells))
+        if fr > 0:
+            r = fr - 1
+            mark = ")" if r % 2 == 0 else "("  # lower / upper branch of a pair
+            arrows = "---".join(">" if seg[r] else "<" for seg in state.segments)
+            lines.append(f" {mark} {arrows}")
+    return "\n".join(lines) + "\n"

@@ -16,7 +16,8 @@ import random
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 
-from .lattice import classify_vertex, double_line_fills, line_fills, row_transfer
+from .lattice import double_line_fills, line_fills, row_transfer
+from .states import classify_vertex
 
 TWO_PI_I = 2j * math.pi
 OMEGA = cmath.exp(TWO_PI_I / 3)

@@ -14,7 +14,7 @@ Four families of checks:
   and at the quarter point where it collapses onto the determinant route
   through the exact polynomials;
 * exact structural invariants of every enumerated state, each state
-  checked by ``lattice.column_violations``: ``worker.lattice_suite``, which
+  checked by ``states.column_violations``: ``worker.lattice_suite``, which
   runs apart from this module and the numeric layer.
 
 Every report carries the worst relative residual over the requested trials

@@ -1,7 +1,7 @@
 """The lattice suite, and the forked workers of ``ice-colors verify``.
 
 ``lattice_suite`` checks every state of each size by
-``lattice.column_violations``, straight on ``lattice.column_walk``'s
+``states.column_violations``, straight on ``states.column_walk``'s
 columns; it and its ``IdentityReport`` live here, apart from the numeric
 layer, and ``verify`` imports only the latter, for its own reports.
 ``forked(name, work)`` runs ``work()`` in a child made by ``os.fork``
@@ -29,7 +29,7 @@ import sys
 from contextlib import contextmanager
 from typing import NamedTuple
 
-from .lattice import column_violations, column_walk
+from .states import column_violations, column_walk
 
 
 class IdentityReport(NamedTuple):

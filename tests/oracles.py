@@ -4,11 +4,12 @@ Nothing here reuses the package's enumeration logic: the brute-force oracle
 filters every possible edge assignment, and the transfer oracle marches row
 configurations with its own ice-rule bookkeeping.  Both exist so that bugs
 in the package's state enumeration (``enumerate_states``) and its
-row-transfer counting (``count_table``) cannot hide; those two and the
-row-transfer state sum (``theta.partition_transfer``) share one ice-rule
-line fill (``lattice.line_fills``), and the last two also share one
-double-line fill (``lattice.double_line_fills``) and one frontier loop
-(``lattice.row_transfer``); nothing here uses any of the three.
+row-transfer counting (``count_table`` and ``color_marginals``) cannot
+hide; those and the row-transfer state sum (``theta.partition_transfer``)
+share one ice-rule line fill (``lattice.line_fills``), and all but the
+enumeration also share one double-line fill (``lattice.double_line_fills``)
+and one frontier loop (``lattice.row_transfer``); nothing here uses any of
+the three.
 The vertex walk enumerates one vertex at a time, with its own completions
 table, and pins the order in which ``enumerate_states`` yields states,
 apart from the package's column-at-a-time search; the per-state brute sum
@@ -32,12 +33,12 @@ value and does no arithmetic.  Face colors per state
 are tallied here from a height grid (``color_counts``), apart from the
 package's per-face-row tally in ``count_table``, and vertex kinds per state
 from one ``classify_vertex`` call per vertex (``vertex_census``), apart from
-the package's cached column tallies (``lattice._column_tally``), and the
+the package's cached column tallies (``states._column_tally``), and the
 left-arrow row by a scan of segment n-1 (``left_arrow_row``), apart from
-``lattice.state_violations``.  The state builders here fill row-major
+``states.state_violations``.  The state builders here fill row-major
 working arrays, ``right[r][s]`` for row r and segment s, and transpose them
 themselves into ``LatticeState``'s segment columns; nothing here uses
-``lattice.column_walk``.
+``states.column_walk``.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ from itertools import product
 from math import prod
 
 from ice_colors.exact import Poly, SingularInputError
-from ice_colors.lattice import (FaceGrid, LatticeState, LeftArrowError,
-                                classify_vertex, heights)
+from ice_colors.lattice import LeftArrowError
+from ice_colors.states import FaceGrid, LatticeState, classify_vertex, heights
 from ice_colors.theta import ModelParams, turn_weight, vertex_weight
 from ice_colors.tpoly import g_eval
 

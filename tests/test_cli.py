@@ -10,10 +10,10 @@ from pathlib import Path
 import pytest
 
 import ice_colors
-from ice_colors import cli, pn, verify, worker
+from ice_colors import cli, pn, states, verify, worker
 from ice_colors.cli import build_parser, main, run
 from ice_colors.exact import SingularInputError
-from ice_colors.lattice import LatticeState, enumerate_states, render_state
+from ice_colors.states import LatticeState, enumerate_states, render_state
 from ice_colors.theta import NearSingularError, ParamSampler
 
 
@@ -75,7 +75,7 @@ def test_enumerate_walks_states_only_to_dump(capsys, monkeypatch):
     def no_walk(n):
         raise AssertionError("state walk")
 
-    monkeypatch.setattr(cli, "enumerate_states", no_walk)
+    monkeypatch.setattr(states, "enumerate_states", no_walk)
     code, out, _ = run_cli(capsys, "enumerate", "--n", "5")
     assert (code, json.loads(out)) == (0, {"n": 5, "states": 1468320})
     with pytest.raises(AssertionError, match="state walk"):
@@ -496,7 +496,8 @@ def test_budget_bounds_the_compute():
 
 def test_cli_import_leaves_the_numeric_layer_unloaded():
     # Only verify loads theta, verify and worker, so no other command
-    # compiles them; and no module the CLI loads defines a dataclass, so
+    # compiles them; only verify and enumerate --dump load the per-state
+    # code; and no module the CLI loads defines a dataclass, so
     # dataclasses and inspect stay unloaded unless the interpreter started
     # with them.
     src = str(Path(ice_colors.__file__).resolve().parents[1])
@@ -504,7 +505,7 @@ def test_cli_import_leaves_the_numeric_layer_unloaded():
         [sys.executable, "-c", "import sys; start = set(sys.modules); "
          "import ice_colors.cli; print(sorted(set(sys.modules).difference(start)"
          ".intersection(('ice_colors.theta', 'ice_colors.verify', 'ice_colors.worker',"
-         " 'dataclasses', 'inspect'))))"],
+         " 'ice_colors.states', 'dataclasses', 'inspect'))))"],
         capture_output=True, text=True, timeout=30,
         env={**os.environ, "PYTHONPATH": src})
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

@@ -2,15 +2,15 @@ import hashlib
 import json
 from collections import Counter
 from itertools import product
-from math import comb
+from math import comb, factorial
 
 import pytest
 
-from ice_colors import lattice, worker
-from ice_colors.lattice import (VERTEX_KINDS, CountTable, IceRuleError,
-                                LatticeState, LeftArrowError, count_table,
-                                enumerate_states, heights, render_state,
-                                state_violations)
+from ice_colors import lattice, states, worker
+from ice_colors.lattice import CountTable, LeftArrowError, color_marginals, count_table
+from ice_colors.states import (VERTEX_KINDS, IceRuleError, LatticeState,
+                               enumerate_states, heights, render_state,
+                               state_violations)
 from ice_colors.worker import lattice_suite
 
 from oracles import (all_assignment_states, classified_grid, color_counts,
@@ -143,7 +143,7 @@ def test_census_identities_all_states():
 def column_tallies(s):
     """Each column's cached tally from the wall, as ``state_violations``
     reads them."""
-    return [lattice._column_tally(s.segments[c], s.segments[c + 1], s.up[c])
+    return [states._column_tally(s.segments[c], s.segments[c + 1], s.up[c])
             for c in range(s.n)]
 
 
@@ -174,7 +174,7 @@ def test_column_ice_rule_is_height_consistency(rows):
         consistent = all(east_faces[r + 1] - east_faces[r] == (1 if east[r] else -1)
                          for r in range(rows))
         try:
-            lattice._column_tally(west, east, up)
+            states._column_tally(west, east, up)
             ice_rule = True
         except IceRuleError:
             ice_rule = False
@@ -415,11 +415,11 @@ def test_column_cache_cannot_hide_corruption():
     # Warm the column caches with every valid column first, so a corrupt
     # state can only pass if a cache answers for a column that was never
     # classified.
-    states = [s for n in (1, 2) for s in enumerate_states(n)]
-    for s in states:
+    walked = [s for n in (1, 2) for s in enumerate_states(n)]
+    for s in walked:
         assert state_violations(s) == []
     flips = 0
-    for s in states:
+    for s in walked:
         for broken in single_corruptions(s):
             if broken.turn_positive != s.turn_positive:
                 continue  # a turn sign is no edge arrow
@@ -439,7 +439,7 @@ def test_lattice_suite_verdicts_are_state_violations(monkeypatch):
     verdicts = []
 
     def recorded(*columns):
-        found = lattice.column_violations(*columns)
+        found = states.column_violations(*columns)
         verdicts.append(bool(found))
         return found
 
@@ -468,18 +468,18 @@ def test_lattice_suite_reads_cached_column_tallies(monkeypatch):
         calls += 1
         return heights(state)
 
-    monkeypatch.setattr(lattice, "heights", counted)
-    lattice._column_tally.cache_clear()
+    monkeypatch.setattr(states, "heights", counted)
+    states._column_tally.cache_clear()
     reports = lattice_suite(3)
-    tallied = lattice._column_tally.cache_info()
-    states = [s for n in (1, 2, 3) for s in enumerate_states(n)]
+    tallied = states._column_tally.cache_info()
+    walked = [s for n in (1, 2, 3) for s in enumerate_states(n)]
     columns = set()
-    for s in states:
+    for s in walked:
         columns.update((s.segments[c], s.segments[c + 1], s.up[c]) for c in range(s.n))
     assert [(r.trials, r.passed) for r in reports] == [(2, True), (12, True), (208, True)]
     assert calls == 0
     assert tallied.misses == len(columns)
-    assert tallied.hits + tallied.misses == sum(s.n for s in states)
+    assert tallied.hits + tallied.misses == sum(s.n for s in walked)
 
 
 def test_count_table_n1_exact():
@@ -543,8 +543,58 @@ def test_count_table_left_arrow_errors(monkeypatch):
             (positive, with_left_arrows(lower, lower_left),
              with_left_arrows(upper, upper_left))
             for positive, lower, upper in fills(below, line)])
-        with pytest.raises(LeftArrowError):
-            count_table(n)
+        for engine in (count_table, color_marginals):
+            with pytest.raises(LeftArrowError):
+                engine(n)
+
+
+def test_color_marginals_rejects_n_below_1():
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            color_marginals(n)
+
+
+def test_color_marginals_match_count_table():
+    # Each color's (m, l, k_c) marginal is the joint table summed over the
+    # other two colors, cell for cell, with no zero cells.
+    for n in range(1, 7):
+        table, marginals = count_table(n), color_marginals(n)
+        for color in range(3):
+            expected = Counter()
+            for (m, l, *ks), cnt in table.counts.items():
+                expected[m, l, ks[color]] += cnt
+            assert marginals[color] == dict(expected), (n, color)
+
+
+def vsasm_count(n):
+    """A_V(2n+1), the vertically symmetric ASMs of order 2n+1."""
+    num = den = 1
+    for i in range(n):
+        num *= (3 * i + 2) * factorial(6 * i + 3) * factorial(2 * i + 1)
+        den *= factorial(4 * i + 2) * factorial(4 * i + 3)
+    assert num % den == 0
+    return num // den
+
+
+def test_color_marginals_enumerative_anchors():
+    # The total, 2^n A_V(2n+1), is a theorem, as recalled (Kuperberg's count
+    # of U-turn ASMs, arXiv:math/0008184).  The m and l marginals below are
+    # observed for n <= 8: C(n, m) A_V(2n+1) states have m positive turns,
+    # and the l marginal is symmetric under l -> 2n+1-l, with the total for
+    # n-1 in each of its end rows l = 1 and l = 2n.
+    assert [vsasm_count(n) for n in range(6)] == [1, 1, 3, 26, 646, 45885]
+    assert 2 ** 8 * vsasm_count(8) == 2272956072262656
+    for n in range(1, 8):
+        for marginal in color_marginals(n):
+            by_m, by_l = Counter(), Counter()
+            for (m, l, _k), cnt in marginal.items():
+                by_m[m] += cnt
+                by_l[l] += cnt
+            assert sum(by_m.values()) == 2 ** n * vsasm_count(n), n
+            assert by_m == {m: comb(n, m) * vsasm_count(n) for m in range(n + 1)}
+            assert set(by_l) == set(range(1, 2 * n + 1))
+            assert all(by_l[l] == by_l[2 * n + 1 - l] for l in by_l)
+            assert by_l[1] == by_l[2 * n] == 2 ** (n - 1) * vsasm_count(n - 1), n
 
 
 def test_count_table_serialization_round_trip():

@@ -12,15 +12,16 @@ from hypothesis import strategies as st
 
 import ice_colors
 from ice_colors.exact import Poly, SingularInputError
-from ice_colors.lattice import CountTable, count_table
+from ice_colors.lattice import CountTable, color_marginals, count_table
 from ice_colors.pn import (ConsistencyError, VARIANT_A, VARIANT_B, VARIANT_C,
-                           VARIANTS, _assemble, pn_consistent, pn_from_counts,
+                           VARIANTS, _assemble, _raw_sum, pn_consistent,
                            positivity_report, symmetry_check)
 from ice_colors.tpoly import pn_via_T
 from oracles import assemble_by_poly_powers, poly_add, poly_mul, symmetry_image
 
 # p_n, frozen after exact agreement of the count route and the determinant
-# route (p_7 from one `ice-colors pn --n 7` run, which exits 0 only then).
+# route (p_7, p_8 and p_9 each from one `ice-colors pn --n N` run, which
+# exits 0 only then).
 P1 = Poly([1])
 P2 = Poly([1, 1, 2])
 P3 = Poly([1, 2, 7, 10, 21, 12, 11])
@@ -39,12 +40,51 @@ P7 = Poly([1, 6, 57, 270, 1530, 6102, 26442, 92178, 334584, 1043382, 3316104,
            462927931650, 440019878661, 361454749812, 293425317261,
            198774061884, 134362758240, 71365686228, 38636790480, 14621569740,
            5937661260, 1230641100, 323801820])
-FROZEN = (P1, P2, P3, P4, P5, P6, P7)
+P8 = Poly([1, 7, 77, 425, 2786, 12938, 64838, 263270, 1105926, 4025022,
+          14840322, 49230594, 163589734, 500269462, 1522450666, 4321576666,
+          12154703176, 32133108370, 83893884646, 206776472782, 501996269632,
+          1153366486888, 2604686117512, 5574387347032, 11706518548120,
+          23309461360480, 45478616314160, 84109857696800, 152233664575940,
+          260929911937220, 437187923256924, 692548987532892, 1071309453595701,
+          1563103390330815, 2225000474933973, 2977649805458097,
+          3884282625470698, 4743206334505474, 5641599982631822,
+          6245567158067886, 6730822441330482, 6700155306864954,
+          6491185725721686, 5748526886701830, 4956306303553878,
+          3849397696704678, 2914870883894970, 1946046474680778,
+          1271238347897226, 707978043911376, 388908808783344, 171962543215152,
+          76406346121716, 24394287617676, 8205771212580, 1464356873748,
+          323674802088])
+P9 = Poly([1, 8, 100, 630, 4690, 24836, 141288, 653830, 3117620, 12932280,
+          54149340, 204924090, 774367230, 2707645500, 9397118520, 30639350538,
+          98816544874, 302405659640, 913430466620, 2635032586550,
+          7490924931070, 20422096205940, 54794163486400, 141352045334630,
+          358459688517840, 875396042818024, 2099426728756532, 4853358181856310,
+          11008526620814010, 24081928934036100, 51647623917548472,
+          106847590285815246, 216546644429996580, 423295789449050280,
+          810020831020781660, 1494468587930403574, 2697299487675329382,
+          4690623634859012100, 7973978169769946880, 13049274512533558110,
+          20860579199561887352, 32064175669044359176, 48108089748986508900,
+          69298025145445421270, 97362201503628440290, 131086427050913447204,
+          172004305055098545512, 215785444246873181590, 263603543766010132230,
+          307007814453133288040, 347866134565827606820, 374464173384523319370,
+          391817035637152787970, 387758175950380819500, 372674104476547526240,
+          336846144093794309002, 295441356045664783616, 241887733189846873560,
+          192053075226543631500, 140923527375138733050, 100257467702071951782,
+          65003445393051054876, 40889112171397833000, 22965472560990829010,
+          12544735008628528875, 5925544425896447088, 2739788086840806624,
+          1036732887216612180, 390252925890180360, 107710148688780120,
+          30890018405665656, 4837879668487788, 919856004546820])
+FROZEN = (P1, P2, P3, P4, P5, P6, P7, P8, P9)
 
 
 @pytest.fixture(scope="module")
 def tables():
     return {n: count_table(n) for n in (1, 2, 3)}
+
+
+def raw_poly(table, n, m, variant):
+    """The raw variant sum of a joint table, read at the variant's color."""
+    return Poly(_raw_sum(table.counts, n, m, variant, 2 + variant.color))
 
 
 def test_variant_bookkeeping():
@@ -59,17 +99,28 @@ def test_variant_bookkeeping():
 
 def test_n1_variant_examples(tables):
     table = tables[1]
-    assert pn_from_counts(table, 1, 1, VARIANT_A) == Poly([1])
-    assert pn_from_counts(table, 1, 0, VARIANT_A).is_zero()
-    assert pn_from_counts(table, 1, 0, VARIANT_C) == Poly([1])
-    assert pn_from_counts(table, 1, 0, VARIANT_B) == Poly([1])
-    assert pn_from_counts(table, 1, 1, VARIANT_B) == Poly([1])
+    assert raw_poly(table, 1, 1, VARIANT_A) == Poly([1])
+    assert raw_poly(table, 1, 0, VARIANT_A) == Poly()
+    assert raw_poly(table, 1, 0, VARIANT_C) == Poly([1])
+    assert raw_poly(table, 1, 0, VARIANT_B) == Poly([1])
+    assert raw_poly(table, 1, 1, VARIANT_B) == Poly([1])
 
 
 def test_zero_binomial_sums_vanish(tables):
     for n, table in tables.items():
-        assert pn_from_counts(table, n, 0, VARIANT_A).is_zero()
-        assert pn_from_counts(table, n, n, VARIANT_C).is_zero()
+        assert raw_poly(table, n, 0, VARIANT_A) == Poly()
+        assert raw_poly(table, n, n, VARIANT_C) == Poly()
+
+
+def test_marginal_sums_equal_joint_table_sums():
+    # A variant's sum over its color's marginal (census at key[2]) is the
+    # same integer list as over the joint table (census at key[2 + color]).
+    for n in range(1, 6):
+        table, marginals = count_table(n), color_marginals(n)
+        for variant in VARIANTS:
+            for m in range(n + 1):
+                joint = _raw_sum(table.counts, n, m, variant, 2 + variant.color)
+                assert _raw_sum(marginals[variant.color], n, m, variant, 2) == joint
 
 
 def test_variant_m_independence(tables):
@@ -80,7 +131,7 @@ def test_variant_m_independence(tables):
                 binom = variant.binomial(n, m)
                 if binom == 0:
                     continue
-                raw = pn_from_counts(table, n, m, variant)
+                raw = raw_poly(table, n, m, variant)
                 polys.add(Poly([c / binom for c in raw.coeffs]))
         assert len(polys) == 1
 
@@ -89,6 +140,8 @@ def test_pn_consistent_small(tables):
     assert pn_consistent(1, tables[1]) == P1
     assert pn_consistent(2, tables[2]) == P2
     assert pn_consistent(3, tables[3]) == P3
+    for n in (1, 2, 3, 4):
+        assert pn_consistent(n) == FROZEN[n - 1]
 
 
 def test_pn_consistent_frozen_n5():
@@ -112,9 +165,10 @@ def test_determinant_route_frozen_n6_n7():
     assert pn_via_T(7) == P7
 
 
-# Determinant route only: the count route does not confirm p_8 and above
-# yet.  sha256 of the space-joined integer coefficients of pn_via_T(n), as
-# computed by an all-Fraction evaluation of the same confluent formula.
+# sha256 of the space-joined integer coefficients of pn_via_T(n), as
+# computed by an all-Fraction evaluation of the same confluent formula.  For
+# p_10 and above this is the determinant route only: the count route does
+# not confirm them yet.  p_8 and p_9 are frozen above as well.
 DETERMINANT_ROUTE_ONLY_SHA256 = {
     8: "ffc710d3b9f088bdf808481247d5f9bd413e9993ba118fe6c5d686016aba5c48",
     9: "51ac6f1ec2ebcfa1291a0cc7f70101581205f1b2fd4da23c302cd2535117a831",
@@ -138,9 +192,17 @@ def test_pn_consistent_frozen_n6():
     assert pn_consistent(6) == P6
 
 
+def test_determinant_route_frozen_n8_n9():
+    # Frozen from `pn --n 8` and `pn --n 9`, where the count route agreed.
+    assert pn_via_T(8) == P8
+    assert pn_via_T(9) == P9
+    assert P8.coeffs[-1] == 323674802088
+    assert P8(Fraction(-1)) == 2 ** 49
+
+
 def test_conjectured_patterns_on_frozen_polynomials():
     """Conjectures, not proven identities: patterns that hold for every p_n
-    computed so far (the frozen p_1..p_7), kept as regressions.
+    computed so far (the frozen p_1..p_9), kept as regressions.
 
     * the leading coefficient is prod_{i<n} (3i+1)(6i)!(2i)!/((4i)!(4i+1)!);
     * p_n(-1) = 2^((n-1)^2);
@@ -159,8 +221,10 @@ def test_conjectured_patterns_on_frozen_polynomials():
 
 
 def test_mismatched_table_rejected(tables):
-    with pytest.raises(ValueError):
-        pn_from_counts(tables[1], 2, 0, VARIANT_B)
+    with pytest.raises(ValueError, match="count table does not match n"):
+        pn_consistent(2, tables[1])
+    with pytest.raises(ValueError, match="m out of range"):
+        _raw_sum(tables[1].counts, 1, 2, VARIANT_B, 3)
 
 
 def test_corrupt_counts_detected():
@@ -214,7 +278,7 @@ def test_first_consistency_error_follows_variant_then_m():
     assert str(info.value) == "variant A, m=2: sum does not reduce to a polynomial"
     assert str(info.value.__cause__) == "exponent 32 outside [0, 6/2] has a nonzero count"
     with pytest.raises(ConsistencyError, match="variant B, m=1: sum does not reduce"):
-        pn_from_counts(CountTable(3, bad), 3, 1, VARIANT_B)
+        raw_poly(CountTable(3, bad), 3, 1, VARIANT_B)
 
 
 def test_non_polynomial_sum_rejected():
@@ -222,7 +286,7 @@ def test_non_polynomial_sum_rejected():
     # sum is (z+1)^10 / (z(z-1))^4, which no exact division can clear.
     table = CountTable(2, {(0, 2, 0, 1, 0): 1})
     with pytest.raises(ConsistencyError, match="does not reduce"):
-        pn_from_counts(table, 2, 0, VARIANT_B)
+        raw_poly(table, 2, 0, VARIANT_B)
 
 
 def test_readme_table_matches_frozen_polynomials():
@@ -241,7 +305,7 @@ def test_readme_table_matches_frozen_polynomials():
 
 
 def per_cell_sum(table, n, m, variant):
-    """pn_from_counts cell by cell: try both row offsets, test the row's
+    """_raw_sum cell by cell: try both row offsets, test the row's
     residue mod 3 and the exponent's integrality on every nonzero cell, and
     assemble by the oracle's polynomial powers."""
     sums = {}
@@ -291,7 +355,7 @@ def perturbed_tables(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(perturbed_tables())
-def test_pn_from_counts_matches_per_cell_reference(case):
+def test_raw_sum_matches_per_cell_reference(case):
     n, table = case
     for variant in VARIANTS:
         for m in range(n + 1):
@@ -299,10 +363,10 @@ def test_pn_from_counts_matches_per_cell_reference(case):
                 expected = per_cell_sum(table, n, m, variant)
             except ConsistencyError as err:
                 with pytest.raises(ConsistencyError) as info:
-                    pn_from_counts(table, n, m, variant)
+                    raw_poly(table, n, m, variant)
                 assert str(info.value) == str(err)
             else:
-                assert pn_from_counts(table, n, m, variant) == expected
+                assert raw_poly(table, n, m, variant) == expected
 
 
 @st.composite
@@ -394,11 +458,12 @@ def test_integer_coefficients(tables):
 
 
 def test_import_pn_leaves_numeric_layers_unloaded():
-    # The exact routes need neither the theta layer nor the verify suites.
+    # The exact routes need neither the theta layer, nor the verify suites,
+    # nor the per-state code: the count route builds no state.
     src = str(Path(ice_colors.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import ice_colors.pn; "
-            "print(sorted(m for m in ('ice_colors.theta', 'ice_colors.verify') "
-            "if m in sys.modules))")
+            "print(sorted(m for m in ('ice_colors.theta', 'ice_colors.verify', "
+            "'ice_colors.states') if m in sys.modules))")
     done = subprocess.run([sys.executable, "-c", code, src],
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
