@@ -9,7 +9,7 @@ refines U-turn alternating sign matrix counts.
 import argparse
 from collections import Counter
 
-from ice_colors.lattice import count_table
+from ice_colors.lattice import color_marginals
 
 
 def main():
@@ -20,13 +20,12 @@ def main():
     if n < 1:
         parser.error("--n must be at least 1")
 
-    table = count_table(n)
     grid: Counter = Counter()
-    for (m, l, _k0, _k1, _k2), cnt in table.counts.items():
+    for (m, l, _k0), cnt in color_marginals(n)[0].items():
         grid[(m, l)] += cnt
 
     header = "m\\l " + "".join(f"{l:>7}" for l in range(1, 2 * n + 1))
-    print(f"n={n}, {table.total()} states")
+    print(f"n={n}, {sum(grid.values())} states")
     print(header)
     for m in range(n + 1):
         row = "".join(f"{grid.get((m, l), 0):>7}" for l in range(1, 2 * n + 1))

@@ -30,7 +30,7 @@ from itertools import chain
 
 from . import __version__
 from .exact import SingularInputError, format_fraction
-from .lattice import count_table
+from .lattice import color_marginals, count_table
 from .pn import (VARIANTS, ConsistencyError, pn_consistent, positivity_report,
                  symmetry_check)
 
@@ -119,7 +119,8 @@ def _dump(n: int) -> Iterator[str]:
 
 def _cmd_enumerate(args: argparse.Namespace) -> tuple[str | Iterator[str], int]:
     if not args.dump:
-        return json.dumps({"n": args.n, "states": count_table(args.n).total()}), 0
+        states = sum(color_marginals(args.n)[0].values())
+        return json.dumps({"n": args.n, "states": states}), 0
     return _dump(args.n), 0
 
 

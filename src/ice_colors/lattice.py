@@ -25,10 +25,12 @@ face to height 0 and the face inside a turn to -1 (positive turn) or +1
 (negative turn).  Heights mod 3 give a proper three-coloring; a positive
 turn face has color 2, a negative one color 1.
 
-``row_transfer`` is the one sum over the states, a double line at a time:
-``count_table`` counts them by it in ``(m, l, k0, k1, k2)`` cells,
-``color_marginals`` in the three ``(m, l, k_c)`` marginals, and
-``theta.partition_transfer`` sums their weights.  The states themselves,
+``row_transfer`` is the one sum over the states, a double line at a time.
+One counting transfer runs on it, ``_packed_transfer``, with two readers:
+``count_table`` keys each cell by its color-1 faces and reads the
+``(m, l, k0, k1, k2)`` cells, and ``color_marginals`` keys no color and
+reads the three ``(m, l, k_c)`` marginals.  ``theta.partition_transfer``
+sums the states' weights on ``row_transfer`` too.  The states themselves,
 one at a time, are in ``states``.
 """
 
@@ -37,7 +39,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections import Counter, defaultdict
+from collections import defaultdict
 from functools import cache
 from typing import NamedTuple
 
@@ -149,108 +151,58 @@ def _face_colors(edges: tuple[bool, ...], wall: int) -> tuple[int, int, int]:
     return (tally[0], tally[1], tally[2])
 
 
-def _double_line_shifts(n: int):
-    """A transfer's ``shifts(i, below)``: every fill of double line ``i``
-    over the vertical edges ``below`` as ``(above, positive, lefts, dk)``,
-    its edges above, its turn's sign, the rows (1-based) of its left arrows
-    at segment ``n-1`` and its faces per color.  A face row's colors follow
-    from its vertical edges and its wall face: 0 on even face rows, -1 or +1
-    inside a positive or negative turn.  Fills and face colors are listed
-    once per transfer."""
-    face_colors = cache(_face_colors)  # memos live for this transfer only
-    fills = cache(line_fills)
+def _packed_transfer(n: int, joint: bool) -> list[tuple[int, int, int, int, int, int]]:
+    """The states per (m, l, x), each cell's face colors packed, by
+    ``row_transfer``: every nonzero ``(m, l, x, c, k_c, states)``.
 
-    def shifts(i: int, below: tuple[bool, ...]):
-        for positive, (lower, mid), (upper, above) in double_line_fills(below, fills):
-            lefts = tuple(row for row, along in ((2 * i + 1, lower), (2 * i + 2, upper))
-                          if not along[-2])
-            a0, a1, a2 = face_colors(mid, -1 if positive else 1)
-            b0, b1, b2 = face_colors(above, 0)
-            yield above, positive, lefts, (a0 + b0, a1 + b1, a2 + b2)
-
-    return shifts
-
-
-def _left_row(lefts: tuple[int, ...], met: bool, n: int) -> int:
-    """The row a double line adds to ``l``: its one left arrow's, or 0; a
-    second left arrow in one state, here or below (``met``), is an error."""
-    if len(lefts) > 1 or lefts and met:
-        raise LeftArrowError(f"two left arrows at segment {n - 1} in one state")
-    return sum(lefts)
-
-
-def _check_left_arrows(top, n: int) -> None:
-    if any(key[1] == 0 for key in top):
-        raise LeftArrowError(f"a state has no left arrow at segment {n - 1}")
-
-
-def count_table(n: int) -> CountTable:
-    """Count the states in every (m, l, k0, k1, k2) cell by ``row_transfer``.
-
-    A frontier value is a ``Counter`` of cells, with ``l = 0`` until the
-    left arrow (segment ``n-1`` pointing left) is met.  ``step`` tallies a
-    double line's ``(dm, left rows, dk0, dk1, dk2)`` once per (edges below,
-    edges above), and ``add`` shifts the cells by it.  No state is built;
-    ``states.enumerate_states`` is the per-state reference.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    shifts = _double_line_shifts(n)
-
-    def step(i: int, below: tuple[bool, ...]):
-        tallies: defaultdict[tuple[bool, ...], Counter] = defaultdict(Counter)
-        for above, positive, lefts, (d0, d1, d2) in shifts(i, below):
-            tallies[above][positive, lefts, d0, d1, d2] += 1
-        return tallies.items()
-
-    def add(acc: Counter | None, cells: Counter, tally: Counter) -> Counter:
-        acc = Counter() if acc is None else acc
-        met = any(l for _m, l, *_ks in cells)  # some state below has its left arrow
-        for (dm, lefts, d0, d1, d2), ways in tally.items():
-            row = _left_row(lefts, met, n)
-            for (m, l, k0, k1, k2), cnt in cells.items():
-                acc[m + dm, l + row, k0 + d0, k1 + d1, k2 + d2] += cnt * ways
-        return acc
-
-    bottom = Counter({(0, 0, *_face_colors((True,) * n, 0)): 1})
-    top = row_transfer(n, bottom, step, add)
-    _check_left_arrows(top, n)
-    return CountTable(n, dict(top))
-
-
-def color_marginals(n: int) -> tuple[Marginal, Marginal, Marginal]:
-    """The states per (m, l, k_c) for each face color c = 0, 1, 2: the three
-    marginals of ``count_table(n)``, in one ``row_transfer`` pass.
-
-    A frontier value maps (m, l) to three Python ints, one per color, each
-    the generating function of its color count k_c at t = 2^W, W = 2n^2 + 1
+    ``x`` is the count k1 of color-1 faces if ``joint``, else 0.  A frontier
+    value maps (m, l, x) to three Python ints, one per color, each the
+    generating function of its color count k_c at t = 2^W, W = 2n^2 + 1
     (Kronecker substitution; Harvey, arXiv:0712.4046): the states with k_c
     faces of color c are lane k_c, bits W*k_c up.  No lane can overflow into
     the next, since a state is fixed by its n(2n-1) interior vertical edges
-    and its n turn signs, so fewer than 2^(2n^2) states share a cell.
-    ``step`` sums 2^(W*dk_c) per (edges above, dm, left rows) and ``add``
-    multiplies, so a double line shifts every state's count at once.
+    and its n turn signs, so fewer than 2^(2n^2) states share a cell.  If
+    ``joint``, only color 0's lanes are seeded; the other two stay 0.
+
+    ``l`` is 0 until the left arrow (segment ``n-1`` pointing left) is met.
+    ``step`` sums 2^(W*dk_c) over double line ``i``'s fills per (edges
+    above, dm, left-arrow row, dx), and ``add`` multiplies, so a double line
+    shifts every state's count at once.  A face row's colors follow from its
+    vertical edges and its wall face: 0 on even face rows, -1 or +1 inside a
+    positive or negative turn.  Fills and face colors are listed once per
+    transfer.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     width = 2 * n * n + 1
-    shifts = _double_line_shifts(n)
+    face_colors = cache(_face_colors)  # memos live for this transfer only
+    fills = cache(line_fills)
+    two_lefts = f"two left arrows at segment {n - 1} in one state"
 
     def step(i: int, below: tuple[bool, ...]):
         tallies: defaultdict[tuple[bool, ...], dict] = defaultdict(dict)
-        for above, positive, lefts, dks in shifts(i, below):
-            lanes = tallies[above].setdefault((positive, lefts), [0, 0, 0])
+        for positive, (lower, mid), (upper, above) in double_line_fills(below, fills):
+            lefts = [row for row, along in ((2 * i + 1, lower), (2 * i + 2, upper))
+                     if not along[-2]]
+            if len(lefts) > 1:
+                raise LeftArrowError(two_lefts)
+            a0, a1, a2 = face_colors(mid, -1 if positive else 1)
+            b0, b1, b2 = face_colors(above, 0)
+            dks = (a0 + b0, a1 + b1, a2 + b2)
+            lanes = tallies[above].setdefault(
+                (positive, sum(lefts), dks[1] if joint else 0), [0, 0, 0])
             for c, dk in enumerate(dks):
                 lanes[c] += 1 << width * dk
         return tallies.items()
 
     def add(acc: dict | None, cells: dict, tally: dict) -> dict:
         acc = {} if acc is None else acc
-        met = any(l for _m, l in cells)  # some state below has its left arrow
-        for (dm, lefts), (f0, f1, f2) in tally.items():
-            row = _left_row(lefts, met, n)
-            for (m, l), (v0, v1, v2) in cells.items():
-                key = (m + dm, l + row)
+        met = any(l for _m, l, _x in cells)  # some state below has its left arrow
+        for (dm, row, dx), (f0, f1, f2) in tally.items():
+            if row and met:
+                raise LeftArrowError(two_lefts)
+            for (m, l, x), (v0, v1, v2) in cells.items():
+                key = (m + dm, l + row, x + dx)
                 if key in acc:
                     lanes = acc[key]
                     lanes[0] += v0 * f0
@@ -260,17 +212,44 @@ def color_marginals(n: int) -> tuple[Marginal, Marginal, Marginal]:
                     acc[key] = [v0 * f0, v1 * f1, v2 * f2]
         return acc
 
-    bottom = {(0, 0): [1 << width * k for k in _face_colors((True,) * n, 0)]}
+    k0, k1, k2 = _face_colors((True,) * n, 0)
+    if joint:
+        bottom = {(0, 0, k1): [1 << width * k0, 0, 0]}
+    else:
+        bottom = {(0, 0, 0): [1 << width * k0, 1 << width * k1, 1 << width * k2]}
     top = row_transfer(n, bottom, step, add)
-    _check_left_arrows(top, n)
     mask = (1 << width) - 1
-    marginals: tuple[Marginal, Marginal, Marginal] = ({}, {}, {})
-    for (m, l), packed in top.items():
-        for marginal, value in zip(marginals, packed):
+    cells = []
+    for (m, l, x), packed in top.items():
+        if not l:
+            raise LeftArrowError(f"a state has no left arrow at segment {n - 1}")
+        for c, value in enumerate(packed):
             k = 0
             while value:
                 if value & mask:
-                    marginal[m, l, k] = value & mask
+                    cells.append((m, l, x, c, k, value & mask))
                 value >>= width
                 k += 1
+    return cells
+
+
+def count_table(n: int) -> CountTable:
+    """Count the states in every (m, l, k0, k1, k2) cell: the joint
+    ``_packed_transfer`` keys k1 and packs k0; k2 is the rest of the
+    (2n+1)(n+1) faces.  No state is built; ``states.enumerate_states`` is
+    the per-state reference.
+    """
+    faces = (2 * n + 1) * (n + 1)
+    return CountTable(n, {(m, l, k0, k1, faces - k0 - k1): count
+                          for m, l, k1, _c, k0, count in _packed_transfer(n, True)})
+
+
+def color_marginals(n: int) -> tuple[Marginal, Marginal, Marginal]:
+    """The states per (m, l, k_c) for each face color c = 0, 1, 2: the three
+    marginals of ``count_table(n)``, read from one ``_packed_transfer``
+    that keys no color.
+    """
+    marginals: tuple[Marginal, Marginal, Marginal] = ({}, {}, {})
+    for m, l, _x, c, k, count in _packed_transfer(n, False):
+        marginals[c][m, l, k] = count
     return marginals

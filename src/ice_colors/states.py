@@ -145,7 +145,7 @@ def heights(state: LatticeState) -> FaceGrid:
     Each arrow makes the face on its right one lower.  The scan walks down
     the wall column from the pinned upper-left face (0) through the
     segment-0 arrows, then along each face row through the vertical arrows.
-    It checks nothing: ``state_violations`` judges the state.
+    It checks nothing: ``column_violations`` judges the state.
     """
     n = state.n
     wall = [0] * (2 * n + 1)
@@ -159,15 +159,6 @@ def heights(state: LatticeState) -> FaceGrid:
             row.append(h)
         grid.append(tuple(row))
     return tuple(grid)
-
-
-def state_violations(state: LatticeState) -> list[str]:
-    """``column_violations`` of the state, or ``face count`` if misshapen."""
-    n, segments, up, turns = state
-    if (n < 1 or [*map(len, segments)] != [2 * n] * (n + 1)
-            or [*map(len, up)] != [2 * n + 1] * n or len(turns) != n):
-        return ["face count"]
-    return column_violations(*state)
 
 
 def column_violations(n: int, segments: Columns, up: Columns,

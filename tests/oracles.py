@@ -29,13 +29,13 @@ symmetry image (``symmetry_image``) are built here from powers over
 package's integer binomial expansions (``pn._assemble``) and its symmetry
 test, which composes nothing but compares integer values of both sides at
 z = 0..n(n-1) (``pn.symmetry_check``); the package's ``Poly`` is only a
-value and does no arithmetic.  Face colors per state
-are tallied here from a height grid (``color_counts``), apart from the
-package's per-face-row tally in ``count_table``, and vertex kinds per state
-from one ``classify_vertex`` call per vertex (``vertex_census``), apart from
+value and does no arithmetic.  Face colors per state are tallied here
+from a height grid (``color_counts``), apart from the package's per-face-row
+tally in ``lattice._packed_transfer``, and vertex kinds per state from one
+``classify_vertex`` call per vertex (``vertex_census``), apart from
 the package's cached column tallies (``states._column_tally``), and the
 left-arrow row by a scan of segment n-1 (``left_arrow_row``), apart from
-``states.state_violations``.  The state builders here fill row-major
+``states.column_violations``.  The state builders here fill row-major
 working arrays, ``right[r][s]`` for row r and segment s, and transpose them
 themselves into ``LatticeState``'s segment columns; nothing here uses
 ``states.column_walk``.

@@ -10,7 +10,7 @@ from ice_colors.exact import Poly
 from ice_colors.lattice import count_table
 from ice_colors.pn import (VARIANTS, _raw_sum, pn_consistent,
                            positivity_report, symmetry_check)
-from ice_colors.states import enumerate_states, state_violations
+from ice_colors.states import column_violations, enumerate_states
 from ice_colors.theta import ParamSampler, partition_filali, partition_transfer, resample
 from ice_colors.tpoly import pn_via_T
 from ice_colors.verify import identity_suite, relerr, specialization_check
@@ -48,7 +48,7 @@ def test_criterion_3_per_state_invariants_up_to_n4():
     checked = 0
     for n in (1, 2, 3, 4):
         for state in enumerate_states(n):
-            assert state_violations(state) == []
+            assert column_violations(*state) == []
             checked += 1
     assert checked == 2 + 12 + 208 + 10336
     _report(3, f"invariants on {checked} states", started, 600.0)

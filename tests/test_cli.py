@@ -481,7 +481,7 @@ def test_unspent_budget_changes_nothing(capsys, budget):
 
 
 def test_budget_bounds_the_compute():
-    # count_table(8) takes minutes; the timer must cut it off mid-compute.
+    # count_table(8) takes tens of seconds; the timer must cut it off mid-compute.
     src = str(Path(ice_colors.__file__).resolve().parents[1])
     start = time.monotonic()
     done = subprocess.run(

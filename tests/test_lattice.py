@@ -9,13 +9,22 @@ import pytest
 from ice_colors import lattice, states, worker
 from ice_colors.lattice import CountTable, LeftArrowError, color_marginals, count_table
 from ice_colors.states import (VERTEX_KINDS, IceRuleError, LatticeState,
-                               enumerate_states, heights, render_state,
-                               state_violations)
+                               column_violations, enumerate_states, heights,
+                               render_state)
 from ice_colors.worker import lattice_suite
 
 from oracles import (all_assignment_states, classified_grid, color_counts,
                      left_arrow_row, transfer_counts_by_m, vertex_census,
                      vertex_walk_states)
+
+
+def state_violations(state):
+    """``column_violations`` of the state, or ``face count`` if misshapen."""
+    n, segments, up, turns = state
+    if (n < 1 or [*map(len, segments)] != [2 * n] * (n + 1)
+            or [*map(len, up)] != [2 * n + 1] * n or len(turns) != n):
+        return ["face count"]
+    return column_violations(*state)
 
 
 def state_key(s):
@@ -498,12 +507,24 @@ def per_state_table(n):
     return CountTable(n, dict(Counter(map(state_key, enumerate_states(n)))))
 
 
+def marginal(counts, color):
+    """A joint table's (m, l, k_c) marginal for one color, with no zero cells."""
+    summed = Counter()
+    for (m, l, *ks), cnt in counts.items():
+        summed[m, l, ks[color]] += cnt
+    return dict(summed)
+
+
 def test_count_table_matches_per_state_reference():
+    # Both readers of the one packed transfer against the states' own keys.
     for n in range(1, 5):
         table, reference = count_table(n), per_state_table(n)
         assert table.records() == reference.records()
         assert table.to_json() == reference.to_json()
         assert table.to_csv() == reference.to_csv()
+        marginals = color_marginals(n)
+        for color in range(3):
+            assert marginals[color] == marginal(reference.counts, color), (n, color)
 
 
 def test_count_table_m_marginals_match_transfer_oracle():
@@ -560,10 +581,7 @@ def test_color_marginals_match_count_table():
     for n in range(1, 7):
         table, marginals = count_table(n), color_marginals(n)
         for color in range(3):
-            expected = Counter()
-            for (m, l, *ks), cnt in table.counts.items():
-                expected[m, l, ks[color]] += cnt
-            assert marginals[color] == dict(expected), (n, color)
+            assert marginals[color] == marginal(table.counts, color), (n, color)
 
 
 def vsasm_count(n):
