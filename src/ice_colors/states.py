@@ -1,5 +1,5 @@
-"""The lattice's states one at a time: their walk, their face heights, their
-dump and the exact check of their rules.
+"""The lattice's states one at a time: their walk, their column fills and
+tallies, their face heights and their dump.
 
 Only ``enumerate --dump``, the lattice suite (``worker``) and the state sum's
 vertex weights (``theta``) need states or their vertices; counting them
@@ -21,17 +21,17 @@ The east arrows of a column agree with the heights carried over from its
 west side exactly when its every vertex obeys the ice rule, and a turn
 matches its wall faces exactly when its two segment-0 arrows follow its flow.
 So heights exist exactly when both hold everywhere (Lenard's bijection):
-``column_violations`` judges a state by these rules, and ``heights`` trusts
-it.  ``column_walk`` lists the states as these columns, and
-``enumerate_states`` wraps each in a ``LatticeState``.
+``worker.lattice_suite`` judges the states by these rules along
+``column_walk``'s search, from each column's ``column_tally``, and
+``heights`` trusts them.  ``column_walk`` lists the states as these columns,
+each column by ``column_fills``, and ``enumerate_states`` wraps each in a
+``LatticeState``.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from itertools import product
-from math import comb
-from operator import not_
 from typing import Iterator, NamedTuple
 
 from .lattice import LatticeError, LineFill, line_fills
@@ -84,8 +84,8 @@ def classify_vertex(upper: bool, w_right: bool, e_right: bool,
 
 
 @cache
-def _column_tally(west: tuple[bool, ...], east: tuple[bool, ...],
-                  up: tuple[bool, ...]) -> tuple[int, ...]:
+def column_tally(west: tuple[bool, ...], east: tuple[bool, ...],
+                 up: tuple[bool, ...]) -> tuple[int, ...]:
     """Vertex count per kind, in ``VERTEX_KINDS`` order, of one vertex
     column from the horizontal arrows on its west and east sides and its
     vertical edges; raises :class:`IceRuleError` where a vertex breaks the
@@ -98,6 +98,13 @@ def _column_tally(west: tuple[bool, ...], east: tuple[bool, ...],
     return tuple(map(kinds.count, VERTEX_KINDS))
 
 
+def column_fills(west: tuple[bool, ...], last: bool) -> list[LineFill]:
+    """Every fill ``(up, east)`` of the lattice column east of the segment
+    arrows ``west``: a ``line_fills`` walk up it, bottom edge up and top edge
+    down, with all its east arrows pointing right in the ``last`` column."""
+    return [fill for fill in line_fills(west, True, False) if not last or all(fill[1])]
+
+
 def column_walk(n: int) -> Iterator[tuple[Columns, Columns, tuple[bool, ...]]]:
     """Yield every admissible state once, in a fixed order, by columns:
     ``(segments, up, turns)``, each segment's horizontal arrows from the
@@ -105,18 +112,16 @@ def column_walk(n: int) -> Iterator[tuple[Columns, Columns, tuple[bool, ...]]]:
     edges, both bottom-up, and the turn signs.
 
     A depth-first search fills one lattice column at a time from the wall,
-    each by a ``line_fills`` walk up it (listed once per call), all its east
-    arrows pointing right in the last.  The order is the turn signs in
-    ``itertools.product`` order, then, column by column and bottom-up, each
-    vertex's ``_COMPLETIONS`` in turn, the earliest varying slowest."""
+    each by ``column_fills`` (listed once per call).  The order is the turn
+    signs in ``itertools.product`` order, then, column by column and
+    bottom-up, each vertex's ``_COMPLETIONS`` in turn, the earliest varying
+    slowest."""
     if n < 1:
         raise ValueError("n must be >= 1")
     ups: list[tuple[bool, ...]] = [()] * n
     segments: list[tuple[bool, ...]] = [()] * (n + 1)
 
-    @cache  # memos live for this call only
-    def fills(west: tuple[bool, ...], last: bool) -> list[LineFill]:
-        return [fill for fill in line_fills(west, True, False) if not last or all(fill[1])]
+    fills = cache(column_fills)  # memos live for this call only
 
     def search(c: int) -> Iterator[tuple[Columns, Columns, tuple[bool, ...]]]:
         last = c == n - 1
@@ -145,7 +150,7 @@ def heights(state: LatticeState) -> FaceGrid:
     Each arrow makes the face on its right one lower.  The scan walks down
     the wall column from the pinned upper-left face (0) through the
     segment-0 arrows, then along each face row through the vertical arrows.
-    It checks nothing: ``column_violations`` judges the state.
+    It checks nothing: ``worker.lattice_suite`` judges the states.
     """
     n = state.n
     wall = [0] * (2 * n + 1)
@@ -159,43 +164,6 @@ def heights(state: LatticeState) -> FaceGrid:
             row.append(h)
         grid.append(tuple(row))
     return tuple(grid)
-
-
-def column_violations(n: int, segments: Columns, up: Columns,
-                      turns: tuple[bool, ...]) -> list[str]:
-    """Every exact per-state rule of a state of size ``n`` as ``column_walk``
-    yields it, as human-readable failures or a broken lattice rule's
-    message, by Lenard's bijection (module docstring): one ``_column_tally``
-    lookup per column, no face grid, and a message only for a failed rule."""
-    b = c = 0
-    try:
-        for west, east, column in zip(segments, segments[1:], up):
-            _, _, b_p, b_m, c_p, c_m = _column_tally(west, east, column)
-            b += b_p - b_m
-            c += c_p - c_m
-    except IceRuleError as err:
-        return [str(err)]
-    last = segments[n - 1]
-    if last.count(False) != 1:
-        lefts = [r for r, arrow in enumerate(last) if not arrow]
-        return [f"expected one left arrow at segment {n - 1}, found rows {lefts}"]
-    odd = last.index(False) % 2 == 0  # the left arrow's row l, 1-based, is odd
-    bad = []
-    if b != comb(n + 1, 2):
-        bad.append("b+ / b- census identity")
-    if c + 2 * turns.count(False) != n:
-        bad.append("c+ / c- / k- census identity")
-    if b_p != n or b_m != 0:  # b_p .. c_m: the loop's last, the rightmost column
-        bad.append("rightmost-column b census")
-    if c_p != odd:
-        bad.append("rightmost-column c+ count")
-    if c_m != (not odd):
-        bad.append("rightmost-column c- count")
-    wall = segments[0]
-    if wall[1::2] != turns or wall[::2] != tuple(map(not_, turns)):
-        bad += [f"turn {i} heights" for i, pos in enumerate(turns)
-                if (wall[2 * i], wall[2 * i + 1]) != (not pos, pos)]
-    return bad
 
 
 def render_state(state: LatticeState) -> str:

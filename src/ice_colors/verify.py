@@ -13,9 +13,9 @@ Four families of checks:
   form over (turns, left-arrow row), both with a free last-column parameter
   and at the quarter point where it collapses onto the determinant route
   through the exact polynomials;
-* exact structural invariants of every enumerated state, each state
-  checked by ``states.column_violations``: ``worker.lattice_suite``, which
-  runs apart from this module and the numeric layer.
+* exact structural invariants of every enumerated state, checked in a
+  fold along ``states.column_walk``'s search: ``worker.lattice_suite``,
+  which runs apart from this module and the numeric layer.
 
 Every report carries the worst relative residual over the requested trials
 and a pass flag at the suite's tolerance.

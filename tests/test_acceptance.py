@@ -10,12 +10,13 @@ from ice_colors.exact import Poly
 from ice_colors.lattice import count_table
 from ice_colors.pn import (VARIANTS, _raw_sum, pn_consistent,
                            positivity_report, symmetry_check)
-from ice_colors.states import column_violations, enumerate_states
+from ice_colors.states import enumerate_states
 from ice_colors.theta import ParamSampler, partition_filali, partition_transfer, resample
 from ice_colors.tpoly import pn_via_T
 from ice_colors.verify import identity_suite, relerr, specialization_check
 
 from oracles import all_assignment_states, transfer_counts_by_m
+from test_lattice import column_violations
 
 
 def _report(number: int, name: str, started: float, budget: float):

@@ -13,7 +13,7 @@ import ice_colors
 from ice_colors import cli, pn, states, verify, worker
 from ice_colors.cli import build_parser, main, run
 from ice_colors.exact import SingularInputError
-from ice_colors.states import LatticeState, enumerate_states, render_state
+from ice_colors.states import enumerate_states, render_state
 from ice_colors.theta import NearSingularError, ParamSampler
 
 
@@ -171,16 +171,16 @@ def test_verify_lattice(capsys):
 
 
 def test_state_breaking_lattice_rules_is_reported(capsys, monkeypatch):
-    # A state whose middle vertical arrow is reversed breaks the ice rule;
-    # it must count as a failed state, not escape as a traceback.
-    state = next(iter(enumerate_states(1)))
-    flipped = (state.up[0][0], not state.up[0][1], state.up[0][2])
-    broken = LatticeState(1, state.segments, (flipped,), state.turn_positive)
-    monkeypatch.setattr(worker, "column_walk", lambda n: iter([broken[1:]]))
-    code, out, err = run_cli(capsys, "verify", "--suite", "lattice", "--n", "1")
+    # With the upper a- vertex unclassified, a column holding one breaks the
+    # ice rule; its states must count as failed, not escape as a traceback.
+    kinds = {key: kind for key, kind in states._UPPER_KIND.items() if kind != "a-"}
+    monkeypatch.setattr(states, "_UPPER_KIND", kinds)
+    states.column_tally.cache_clear()  # the forked worker inherits the cache
+    code, out, err = run_cli(capsys, "verify", "--suite", "lattice", "--n", "2")
     assert (code, err) == (1, "")
-    assert json.loads(out) == [{"name": "state_invariants_n1", "trials": 1,
-                                "max_rel_residual": 1.0, "pass": False}]
+    assert json.loads(out) == [
+        {"name": "state_invariants_n1", "trials": 2, "max_rel_residual": 0.0, "pass": True},
+        {"name": "state_invariants_n2", "trials": 12, "max_rel_residual": 2.0, "pass": False}]
 
 
 @pytest.mark.parametrize("seed, n", [(0, 3), (7, 3), (17, 3), (0, 4)])

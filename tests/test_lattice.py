@@ -3,19 +3,57 @@ import json
 from collections import Counter
 from itertools import product
 from math import comb, factorial
+from operator import not_
 
 import pytest
 
-from ice_colors import lattice, states, worker
+from ice_colors import lattice, states
 from ice_colors.lattice import CountTable, LeftArrowError, color_marginals, count_table
 from ice_colors.states import (VERTEX_KINDS, IceRuleError, LatticeState,
-                               column_violations, enumerate_states, heights,
+                               column_walk, enumerate_states, heights,
                                render_state)
 from ice_colors.worker import lattice_suite
 
 from oracles import (all_assignment_states, classified_grid, color_counts,
                      left_arrow_row, transfer_counts_by_m, vertex_census,
                      vertex_walk_states)
+
+
+def column_violations(n, segments, up, turns):
+    """The per-state reference for the lattice suite's verdicts: every exact
+    rule of a state of size ``n`` as ``column_walk`` yields it, as
+    human-readable failures or a broken lattice rule's message, by Lenard's
+    bijection (``states`` docstring), from one ``column_tally`` per column
+    and no face grid."""
+    b = c = 0
+    try:
+        for west, east, column in zip(segments, segments[1:], up):
+            _, _, b_p, b_m, c_p, c_m = states.column_tally(west, east, column)
+            b += b_p - b_m
+            c += c_p - c_m
+    except IceRuleError as err:
+        return [str(err)]
+    last = segments[n - 1]
+    if last.count(False) != 1:
+        lefts = [r for r, arrow in enumerate(last) if not arrow]
+        return [f"expected one left arrow at segment {n - 1}, found rows {lefts}"]
+    odd = last.index(False) % 2 == 0  # the left arrow's row l, 1-based, is odd
+    bad = []
+    if b != comb(n + 1, 2):
+        bad.append("b+ / b- census identity")
+    if c + 2 * turns.count(False) != n:
+        bad.append("c+ / c- / k- census identity")
+    if b_p != n or b_m != 0:  # b_p .. c_m: the loop's last, the rightmost column
+        bad.append("rightmost-column b census")
+    if c_p != odd:
+        bad.append("rightmost-column c+ count")
+    if c_m != (not odd):
+        bad.append("rightmost-column c- count")
+    wall = segments[0]
+    if wall[1::2] != turns or wall[::2] != tuple(map(not_, turns)):
+        bad += [f"turn {i} heights" for i, pos in enumerate(turns)
+                if (wall[2 * i], wall[2 * i + 1]) != (not pos, pos)]
+    return bad
 
 
 def state_violations(state):
@@ -152,7 +190,7 @@ def test_census_identities_all_states():
 def column_tallies(s):
     """Each column's cached tally from the wall, as ``state_violations``
     reads them."""
-    return [states._column_tally(s.segments[c], s.segments[c + 1], s.up[c])
+    return [states.column_tally(s.segments[c], s.segments[c + 1], s.up[c])
             for c in range(s.n)]
 
 
@@ -183,7 +221,7 @@ def test_column_ice_rule_is_height_consistency(rows):
         consistent = all(east_faces[r + 1] - east_faces[r] == (1 if east[r] else -1)
                          for r in range(rows))
         try:
-            states._column_tally(west, east, up)
+            states.column_tally(west, east, up)
             ice_rule = True
         except IceRuleError:
             ice_rule = False
@@ -441,35 +479,64 @@ def test_column_cache_cannot_hide_corruption():
     assert flips == 2 * 7 + 12 * 22
 
 
-def test_lattice_suite_verdicts_are_state_violations(monkeypatch):
-    # The suite judges the walk's columns by column_violations; per state,
-    # its verdict must be state_violations's on the state: over every state
-    # up to n = 4, and over every frozen case of a state's shape.
-    verdicts = []
-
-    def recorded(*columns):
-        found = states.column_violations(*columns)
-        verdicts.append(bool(found))
-        return found
-
-    monkeypatch.setattr(worker, "column_violations", recorded)
-    lattice_suite(4)
-    assert verdicts == [bool(state_violations(s))
-                        for n in range(1, 5) for s in enumerate_states(n)]
-    shaped = [s for s in frozen_cases() if state_violations(s) != ["face count"]]
-    monkeypatch.setattr(worker, "column_walk", lambda n: (
-        s[1:] for s in shaped if s.n == n))
-    verdicts.clear()
-    reports = lattice_suite(3)
-    expected = [[bool(state_violations(s)) for s in shaped if s.n == n] for n in (1, 2, 3)]
-    assert verdicts == sum(expected, [])
-    assert [(r.trials, r.max_rel_residual) for r in reports] == [
-        (len(found), float(sum(found))) for found in expected]
+def kind_faults():
+    """``(label, tables)`` per fault of the vertex-kind tables: none, each of
+    the 12 entries of ``_UPPER_KIND`` and ``_LOWER_KIND`` dropped in turn,
+    and b+ / b- or c+ / c- swapped in ``_UPPER_KIND``."""
+    yield "none", {}
+    for name, side in (("_UPPER_KIND", "upper"), ("_LOWER_KIND", "lower")):
+        table = getattr(states, name)
+        for key, kind in table.items():
+            yield f"{side} {kind}", {name: {k: v for k, v in table.items() if k != key}}
+    for kind, other in (("b+", "b-"), ("c+", "c-")):
+        swap = {kind: other, other: kind}
+        yield f"upper {kind}/{other}", {"_UPPER_KIND": {
+            key: swap.get(v, v) for key, v in states._UPPER_KIND.items()}}
 
 
-def test_lattice_suite_reads_cached_column_tallies(monkeypatch):
-    # No face grid per state: heights is never called, and each column is
-    # one lookup in the one column cache, a miss once per distinct column.
+@pytest.fixture
+def fresh_tallies():
+    """Empty the process-wide column tally cache before and after the test,
+    so a faulted kind table neither reads correct tallies cached earlier nor
+    leaves its own behind."""
+    states.column_tally.cache_clear()
+    yield
+    states.column_tally.cache_clear()
+
+
+def test_lattice_suite_verdicts_are_state_violations(monkeypatch, fresh_tallies):
+    # The suite folds the rules along the walk's search.  Per size, its
+    # (states, failures) must be the per-state reference's over every state
+    # of column_walk up to n = 4, with the kind tables as they are and under
+    # each fault of them.
+    def reference():
+        found = [[bool(column_violations(n, *columns)) for columns in column_walk(n)]
+                 for n in range(1, 5)]
+        return [(len(failed), float(sum(failed))) for failed in found]
+
+    outcomes = {}
+    for label, tables in kind_faults():
+        with monkeypatch.context() as patched:
+            for name, table in tables.items():
+                patched.setattr(states, name, table)
+            states.column_tally.cache_clear()
+            reports = lattice_suite(4)
+            assert [(r.trials, r.max_rel_residual) for r in reports] == reference(), label
+            assert [r.passed for r in reports] == [not r.max_rel_residual for r in reports]
+            outcomes[label] = reports[-1].trials, reports[-1].max_rel_residual
+        states.column_tally.cache_clear()
+    assert len(outcomes) == 15
+    assert outcomes["none"] == (10336, 0.0)
+    assert outcomes["upper a-"] == (10336, 6298.0)
+    assert outcomes["upper b+/b-"] == (10336, 10329.0)
+    assert all(failures for label, (_, failures) in outcomes.items() if label != "none")
+
+
+def test_lattice_suite_reads_cached_column_tallies(monkeypatch, fresh_tallies):
+    # No face grid per state: heights is never called, and each distinct
+    # column is tallied once, one miss of the column cache and no hit.  (A
+    # column's west side has n + c right arrows, so no column recurs at
+    # another place or size.)
     calls = 0
 
     def counted(state):
@@ -478,17 +545,15 @@ def test_lattice_suite_reads_cached_column_tallies(monkeypatch):
         return heights(state)
 
     monkeypatch.setattr(states, "heights", counted)
-    states._column_tally.cache_clear()
     reports = lattice_suite(3)
-    tallied = states._column_tally.cache_info()
-    walked = [s for n in (1, 2, 3) for s in enumerate_states(n)]
+    tallied = states.column_tally.cache_info()
     columns = set()
-    for s in walked:
-        columns.update((s.segments[c], s.segments[c + 1], s.up[c]) for c in range(s.n))
+    for n in (1, 2, 3):
+        for segments, up, _ in column_walk(n):
+            columns.update((segments[c], segments[c + 1], up[c]) for c in range(n))
     assert [(r.trials, r.passed) for r in reports] == [(2, True), (12, True), (208, True)]
     assert calls == 0
-    assert tallied.misses == len(columns)
-    assert tallied.hits + tallied.misses == sum(s.n for s in walked)
+    assert (tallied.hits, tallied.misses) == (0, len(columns))
 
 
 def test_count_table_n1_exact():
