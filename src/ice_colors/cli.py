@@ -13,11 +13,14 @@ workers (``worker``) while it runs the other suites, and prints the workers'
 reports first; a failed worker makes it exit 2 with one stderr line.
 Exact values are printed as num/den strings, never floats.  A fixed seed
 makes every report byte-identical across runs.
+``main`` freezes the heap (``gc.freeze``) on every way out, so the
+interpreter's collections at exit skip the objects left alive then.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -236,7 +239,10 @@ def run(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> None:
-    sys.exit(run(build_parser().parse_args(argv)))
+    try:
+        sys.exit(run(build_parser().parse_args(argv)))
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":

@@ -83,19 +83,23 @@ def classify_vertex(upper: bool, w_right: bool, e_right: bool,
         ) from None
 
 
-@cache
 def column_tally(west: tuple[bool, ...], east: tuple[bool, ...],
                  up: tuple[bool, ...]) -> tuple[int, ...]:
     """Vertex count per kind, in ``VERTEX_KINDS`` order, of one vertex
     column from the horizontal arrows on its west and east sides and its
     vertical edges; raises :class:`IceRuleError` where a vertex breaks the
-    ice rule.
-
-    Cached for the process: a column's tally depends on its arrows only.  A
-    column that breaks the ice rule raises and so is never cached."""
+    ice rule."""
     kinds = [classify_vertex(r % 2 == 1, west[r], east[r], up[r], up[r + 1])
              for r in range(len(west))]
     return tuple(map(kinds.count, VERTEX_KINDS))
+
+
+def wall_arrows(turns: tuple[bool, ...]) -> tuple[bool, ...]:
+    """The segment-0 arrows, bottom-up, that ``column_walk`` and the lattice
+    suite start each state from: a positive turn's lower branch arrow points
+    left (into the turn) and its upper one right (out of it); a negative
+    turn's the reverse."""
+    return tuple(arrow for pos in turns for arrow in (not pos, pos))
 
 
 def column_fills(west: tuple[bool, ...], last: bool) -> list[LineFill]:
@@ -111,11 +115,11 @@ def column_walk(n: int) -> Iterator[tuple[Columns, Columns, tuple[bool, ...]]]:
     wall's (0) to the right boundary's (n), each lattice column's vertical
     edges, both bottom-up, and the turn signs.
 
-    A depth-first search fills one lattice column at a time from the wall,
-    each by ``column_fills`` (listed once per call).  The order is the turn
-    signs in ``itertools.product`` order, then, column by column and
-    bottom-up, each vertex's ``_COMPLETIONS`` in turn, the earliest varying
-    slowest."""
+    A depth-first search fills one lattice column at a time from the
+    turn signs' ``wall_arrows``, each by ``column_fills`` (listed once per
+    call).  The order is the turn signs in ``itertools.product`` order,
+    then, column by column and bottom-up, each vertex's ``_COMPLETIONS`` in
+    turn, the earliest varying slowest."""
     if n < 1:
         raise ValueError("n must be >= 1")
     ups: list[tuple[bool, ...]] = [()] * n
@@ -132,9 +136,7 @@ def column_walk(n: int) -> Iterator[tuple[Columns, Columns, tuple[bool, ...]]]:
                 yield from search(c + 1)
 
     for turns in product((False, True), repeat=n):
-        # Positive turn: lower branch arrow points left (into the turn),
-        # upper branch arrow points right (out of it).  Negative: reversed.
-        segments[0] = tuple(arrow for pos in turns for arrow in (not pos, pos))
+        segments[0] = wall_arrows(turns)
         yield from search(0)
 
 

@@ -33,7 +33,7 @@ from math import comb
 from operator import not_
 from typing import NamedTuple
 
-from .states import IceRuleError, column_fills, column_tally
+from .states import IceRuleError, column_fills, column_tally, wall_arrows
 
 
 class IdentityReport(NamedTuple):
@@ -63,9 +63,10 @@ def _check_states(n: int) -> tuple[int, int]:
     west side with their ``column_tally`` census, so a column breaking the
     ice rule fails every state below it, which is still counted.  The
     left-arrow check runs once per distinct segment n-1, the census
-    identities once per segment-(n-1) node, and the wall check once per
-    turn-sign tuple; a leaf only compares its last column's census with
-    the one its row forces.
+    identities once per segment-(n-1) node, and the wall check, on the
+    ``states.wall_arrows`` the walk starts from, once per turn-sign tuple;
+    a leaf only compares its last column's census with the one its row
+    forces.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -115,8 +116,8 @@ def _check_states(n: int) -> tuple[int, int]:
                 failures += 1
 
     for turns in product((False, True), repeat=n):
-        # The wall as column_walk builds it, checked against the turns' flow.
-        wall = tuple(arrow for pos in turns for arrow in (not pos, pos))
+        # The wall column_walk starts from, checked against the turns' flow.
+        wall = wall_arrows(turns)
         c_needed = n - 2 * turns.count(False)  # the c+ - c- of all columns
         matched = wall[1::2] == turns and wall[::2] == tuple(map(not_, turns))
         search(0, wall, 0, 0, matched)

@@ -33,7 +33,7 @@ value and does no arithmetic.  Face colors per state are tallied here
 from a height grid (``color_counts``), apart from the package's per-face-row
 tally in ``lattice._packed_transfer``, and vertex kinds per state from one
 ``classify_vertex`` call per vertex (``vertex_census``), apart from
-the package's cached column tallies (``states.column_tally``), and the
+the package's column tallies (``states.column_tally``), and the
 left-arrow row by a scan of segment n-1 (``left_arrow_row``), apart from
 the lattice suite's fold (``worker.lattice_suite``) and its per-state
 reference (``column_violations`` in ``test_lattice.py``).  The state builders here fill row-major

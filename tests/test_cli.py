@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -175,7 +176,6 @@ def test_state_breaking_lattice_rules_is_reported(capsys, monkeypatch):
     # ice rule; its states must count as failed, not escape as a traceback.
     kinds = {key: kind for key, kind in states._UPPER_KIND.items() if kind != "a-"}
     monkeypatch.setattr(states, "_UPPER_KIND", kinds)
-    states.column_tally.cache_clear()  # the forked worker inherits the cache
     code, out, err = run_cli(capsys, "verify", "--suite", "lattice", "--n", "2")
     assert (code, err) == (1, "")
     assert json.loads(out) == [
@@ -617,7 +617,24 @@ def test_stdout_on_full_device_exits_2():
         assert proc.stderr.read() == "cannot write stdout: No space left on device\n"
 
 
-def test_main_exits(capsys):
+@pytest.mark.parametrize("argv, code, runs", [
+    (["enumerate", "--n", "1"], 0, 1),
+    (["enumerate", "--n"], 2, 0),  # argparse exits before run
+], ids=["run", "usage-error"])
+def test_main_freezes_the_heap_on_its_way_out(capsys, monkeypatch, request,
+                                              argv, code, runs):
+    # run, which the tests call in process, must leave the heap unfrozen.
+    request.addfinalizer(gc.unfreeze)  # so pytest's heap is collected again
+    entered = []
+
+    def unfrozen_run(args):
+        entered.append(gc.get_freeze_count())
+        return run(args)
+
+    monkeypatch.setattr(cli, "run", unfrozen_run)
+    assert gc.get_freeze_count() == 0
     with pytest.raises(SystemExit) as err:
-        main(["enumerate", "--n", "1"])
-    assert err.value.code == 0
+        main(argv)
+    assert err.value.code == code
+    assert entered == [0] * runs
+    assert gc.get_freeze_count() > 0

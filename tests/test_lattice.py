@@ -7,11 +7,11 @@ from operator import not_
 
 import pytest
 
-from ice_colors import lattice, states
+from ice_colors import lattice, states, worker
 from ice_colors.lattice import CountTable, LeftArrowError, color_marginals, count_table
 from ice_colors.states import (VERTEX_KINDS, IceRuleError, LatticeState,
                                column_walk, enumerate_states, heights,
-                               render_state)
+                               render_state, wall_arrows)
 from ice_colors.worker import lattice_suite
 
 from oracles import (all_assignment_states, classified_grid, color_counts,
@@ -188,8 +188,8 @@ def test_census_identities_all_states():
 
 
 def column_tallies(s):
-    """Each column's cached tally from the wall, as ``state_violations``
-    reads them."""
+    """Each column's tally from the wall, as ``state_violations`` reads
+    them."""
     return [states.column_tally(s.segments[c], s.segments[c + 1], s.up[c])
             for c in range(s.n)]
 
@@ -459,9 +459,8 @@ def breaks_ice_rule(state):
 
 
 def test_column_cache_cannot_hide_corruption():
-    # Warm the column caches with every valid column first, so a corrupt
-    # state can only pass if a cache answers for a column that was never
-    # classified.
+    # Check every valid state first, so a corrupt state can only pass if
+    # something kept from them answers for a column never classified.
     walked = [s for n in (1, 2) for s in enumerate_states(n)]
     for s in walked:
         assert state_violations(s) == []
@@ -494,37 +493,29 @@ def kind_faults():
             key: swap.get(v, v) for key, v in states._UPPER_KIND.items()}}
 
 
-@pytest.fixture
-def fresh_tallies():
-    """Empty the process-wide column tally cache before and after the test,
-    so a faulted kind table neither reads correct tallies cached earlier nor
-    leaves its own behind."""
-    states.column_tally.cache_clear()
-    yield
-    states.column_tally.cache_clear()
+def reference_verdicts():
+    """Per size up to n = 4, ``(states, failures)`` of the per-state
+    reference over every state of ``column_walk``."""
+    found = [[bool(column_violations(n, *columns)) for columns in column_walk(n)]
+             for n in range(1, 5)]
+    return [(len(failed), float(sum(failed))) for failed in found]
 
 
-def test_lattice_suite_verdicts_are_state_violations(monkeypatch, fresh_tallies):
+def test_lattice_suite_verdicts_are_state_violations(monkeypatch):
     # The suite folds the rules along the walk's search.  Per size, its
     # (states, failures) must be the per-state reference's over every state
     # of column_walk up to n = 4, with the kind tables as they are and under
     # each fault of them.
-    def reference():
-        found = [[bool(column_violations(n, *columns)) for columns in column_walk(n)]
-                 for n in range(1, 5)]
-        return [(len(failed), float(sum(failed))) for failed in found]
-
     outcomes = {}
     for label, tables in kind_faults():
         with monkeypatch.context() as patched:
             for name, table in tables.items():
                 patched.setattr(states, name, table)
-            states.column_tally.cache_clear()
             reports = lattice_suite(4)
-            assert [(r.trials, r.max_rel_residual) for r in reports] == reference(), label
+            assert ([(r.trials, r.max_rel_residual) for r in reports]
+                    == reference_verdicts()), label
             assert [r.passed for r in reports] == [not r.max_rel_residual for r in reports]
             outcomes[label] = reports[-1].trials, reports[-1].max_rel_residual
-        states.column_tally.cache_clear()
     assert len(outcomes) == 15
     assert outcomes["none"] == (10336, 0.0)
     assert outcomes["upper a-"] == (10336, 6298.0)
@@ -532,28 +523,51 @@ def test_lattice_suite_verdicts_are_state_violations(monkeypatch, fresh_tallies)
     assert all(failures for label, (_, failures) in outcomes.items() if label != "none")
 
 
-def test_lattice_suite_reads_cached_column_tallies(monkeypatch, fresh_tallies):
-    # No face grid per state: heights is never called, and each distinct
-    # column is tallied once, one miss of the column cache and no hit.  (A
-    # column's west side has n + c right arrows, so no column recurs at
-    # another place or size.)
-    calls = 0
+def test_lattice_suite_tallies_each_distinct_column_once(monkeypatch):
+    # No face grid per state: heights is never called, and the fold's own
+    # memo tallies each distinct column once.  (A column's west side has
+    # n + c right arrows, so no column recurs at another place or size.)
+    grids, tallied = [], []
 
-    def counted(state):
-        nonlocal calls
-        calls += 1
+    def counted_heights(state):
+        grids.append(state)
         return heights(state)
 
-    monkeypatch.setattr(states, "heights", counted)
+    def counted_tally(west, east, up):
+        tallied.append((west, east, up))
+        return states.column_tally(west, east, up)
+
+    monkeypatch.setattr(states, "heights", counted_heights)
+    monkeypatch.setattr(worker, "column_tally", counted_tally)
     reports = lattice_suite(3)
-    tallied = states.column_tally.cache_info()
     columns = set()
     for n in (1, 2, 3):
         for segments, up, _ in column_walk(n):
             columns.update((segments[c], segments[c + 1], up[c]) for c in range(n))
     assert [(r.trials, r.passed) for r in reports] == [(2, True), (12, True), (208, True)]
-    assert calls == 0
-    assert (tallied.hits, tallied.misses) == (0, len(columns))
+    assert grids == []
+    assert len(tallied) == len(set(tallied)) == len(columns)
+    assert set(tallied) == columns
+
+
+@pytest.mark.parametrize("fault, pinned", [
+    # The first turn's two segment-0 arrows flipped.  (One arrow flipped
+    # alone leaves the wall a right arrow too many or too few, and then
+    # the walk makes no state.)  The c census identity fails these too.
+    (lambda turns: tuple(arrow != (r < 2) for r, arrow in enumerate(wall_arrows(turns))),
+     [(2, 2.0), (12, 12.0), (208, 208.0), (10336, 10336.0)]),
+    # The first two turns' arrows exchanged: only the wall check fails the
+    # states whose first two turns differ.
+    (lambda turns: wall_arrows((*turns[1::-1], *turns[2:])),
+     [(2, 0.0), (12, 6.0), (208, 101.0), (10336, 4862.0)]),
+], ids=["flipped", "exchanged"])
+def test_lattice_suite_fails_a_wall_off_the_turns(monkeypatch, fault, pinned):
+    # The faulted wall, in the walk and the fold alike: the suite must fail
+    # exactly the states the per-state reference fails.
+    monkeypatch.setattr(states, "wall_arrows", fault)
+    monkeypatch.setattr(worker, "wall_arrows", fault)
+    verdicts = [(r.trials, r.max_rel_residual) for r in lattice_suite(4)]
+    assert verdicts == reference_verdicts() == pinned
 
 
 def test_count_table_n1_exact():
