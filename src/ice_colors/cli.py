@@ -8,9 +8,10 @@ by wall clock with a one-shot interval timer (SIGALRM).  Every report but
 ``enumerate --dump`` is made whole before any of it is written, so nothing
 is written when the budget runs out while it is made; a dump is written as
 its states are made, and what it wrote stays.
-``verify`` runs the lattice suite and the pointwise identities in forked
-workers (``worker``) while it runs the other suites, and prints the workers'
-reports first; a failed worker makes it exit 2 with one stderr line.
+``verify`` evaluates the pointwise identities in a forked worker
+(``worker``) while it runs the other suites, the lattice suite included,
+and prints the reports in the order lattice, theta, filali,
+specialization; a failed worker makes it exit 2 with one stderr line.
 Exact values are printed as num/den strings, never floats.  A fixed seed
 makes every report byte-identical across runs.
 ``main`` freezes the heap (``gc.freeze``) on every way out, so the
@@ -151,30 +152,28 @@ def _cmd_pn(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
-    # Only verify compiles theta, verify and the workers.  The lattice worker
-    # forks before theta loads, the identity worker once its draws are made.
-    from .worker import forked, lattice_suite
+    # Only verify compiles theta, verify and the worker.
+    from .theta import ParamSampler
+    from .verify import (filali_suite, identity_draws, identity_reports,
+                         lattice_suite, specialization_suite)
+    from .worker import forked
 
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
     suites = SUITES[:-1] if args.suite == "all" else (args.suite,)
     if "lattice" in suites and args.n < 1:
         raise ValueError("lattice suite needs n >= 1")
-    with (forked("lattice worker", lambda: lattice_suite(args.n))
-          if "lattice" in suites else nullcontext(list)) as lattice:
-        from .theta import ParamSampler
-        from .verify import (filali_suite, identity_draws, identity_reports,
-                             specialization_suite)
-
-        sampler = ParamSampler(args.seed)
-        draws = identity_draws(sampler, max(args.trials, 100)) if "theta" in suites else []
-        with (forked("identity worker", lambda: identity_reports(draws))
-              if draws else nullcontext(list)) as identity:
-            draws.clear()  # the worker has its own copy
-            reports = filali_suite(sampler, trials=args.trials) if "filali" in suites else []
-            if "specialization" in suites:
-                reports += specialization_suite(sampler, trials=max(1, args.trials // 4))
-            records = lattice() + identity() + [r.to_record() for r in reports]
+    sampler = ParamSampler(args.seed)
+    draws = identity_draws(sampler, max(args.trials, 100)) if "theta" in suites else []
+    with (forked("identity worker", lambda: identity_reports(draws))
+          if draws else nullcontext(list)) as identity:
+        draws.clear()  # the worker has its own copy
+        lattice = lattice_suite(args.n) if "lattice" in suites else []
+        reports = filali_suite(sampler, trials=args.trials) if "filali" in suites else []
+        if "specialization" in suites:
+            reports += specialization_suite(sampler, trials=max(1, args.trials // 4))
+        records = ([r.to_record() for r in lattice] + identity()
+                   + [r.to_record() for r in reports])
     return json.dumps(records), 0 if all(r["pass"] for r in records) else 1
 
 

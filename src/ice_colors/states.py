@@ -1,9 +1,10 @@
 """The lattice's states one at a time: their walk, their column fills and
-tallies, their face heights and their dump.
+tallies, the lattice suite's rule checks, their face heights and their dump.
 
-Only ``enumerate --dump``, the lattice suite (``worker``) and the state sum's
-vertex weights (``theta``) need states or their vertices; counting them
-(``lattice``) builds none and imports nothing from here.
+Only ``enumerate --dump``, the lattice suite (``check_states``, which
+``verify.lattice_suite`` reports) and the state sum's vertex weights
+(``theta``) need states or their vertices; counting them (``lattice``)
+builds none and imports nothing from here.
 
 A state of half-size ``n`` is held by columns (``lattice`` has the rows,
 double lines, turns and faces):
@@ -21,8 +22,8 @@ The east arrows of a column agree with the heights carried over from its
 west side exactly when its every vertex obeys the ice rule, and a turn
 matches its wall faces exactly when its two segment-0 arrows follow its flow.
 So heights exist exactly when both hold everywhere (Lenard's bijection):
-``worker.lattice_suite`` judges the states by these rules along
-``column_walk``'s search, from each column's ``column_tally``, and
+``check_states`` judges the states by these rules in a column transfer
+over ``column_walk``'s search, from each column's ``column_tally``, and
 ``heights`` trusts them.  ``column_walk`` lists the states as these columns,
 each column by ``column_fills``, and ``enumerate_states`` wraps each in a
 ``LatticeState``.
@@ -30,8 +31,11 @@ each column by ``column_fills``, and ``enumerate_states`` wraps each in a
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache
 from itertools import product
+from math import comb
+from operator import not_
 from typing import Iterator, NamedTuple
 
 from .lattice import LatticeError, LineFill, line_fills
@@ -140,6 +144,80 @@ def column_walk(n: int) -> Iterator[tuple[Columns, Columns, tuple[bool, ...]]]:
         yield from search(0)
 
 
+def check_states(n: int) -> tuple[int, int]:
+    """``(states, failures)`` of size ``n``: each state of ``column_walk``'s
+    search fails unless every vertex obeys the ice rule, b+ - b- = C(n+1, 2),
+    c+ - c- + 2 k- = n, segment n-1 holds one left arrow and the rightmost
+    column's census matches its row, and the wall's arrows match the turns.
+
+    A column transfer sums the states instead of visiting them: its
+    frontier maps (west side, b+ - b-, c+ - c- still to match, every rule
+    held so far) to the number of partial states that reach it.  It starts
+    from each turn-sign tuple's ``wall_arrows``, checked against the turns
+    there, and advances one column at a time.  Each column's fills are
+    listed once per distinct west side with their ``column_tally`` census,
+    so a column breaking the ice rule fails every state through it, which
+    is still counted.  The last column closes the frontier: its left-arrow
+    check runs once per distinct segment n-1, and both census identities
+    once per frontier entry.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+
+    @cache  # memos live for this call only
+    def columns(west: tuple[bool, ...], last: bool) -> list[tuple]:
+        """``(east, (b+, b-, c+, c-))`` per fill of the column east of
+        ``west``, or ``(east, None)`` where a vertex breaks the ice rule."""
+        listed = []
+        for up, east in column_fills(west, last):
+            try:
+                listed.append((east, column_tally(west, east, up)[2:]))
+            except IceRuleError:
+                listed.append((east, None))
+        return listed
+
+    @cache
+    def last_column(west: tuple[bool, ...]) -> tuple[int, int, int]:
+        """For segment n-1 ``west``: the c+ - c- that its left-arrow row
+        forces on the last column (n b+, no b-, and one c+ for an odd row or
+        one c- for an even one), its number of fills, and how many of them
+        pass: all fills with the forced census if ``west`` holds one left
+        arrow, none otherwise."""
+        one_left = west.count(False) == 1
+        odd = one_left and west.index(False) % 2 == 0  # the row l, 1-based, is odd
+        forced = (n, 0, odd, not odd)
+        tallies = [tally for _, tally in columns(west, True)]
+        return (1 if odd else -1), len(tallies), tallies.count(forced) if one_left else 0
+
+    frontier = Counter()
+    for turns in product((False, True), repeat=n):
+        wall = wall_arrows(turns)
+        matched = wall[1::2] == turns and wall[::2] == tuple(map(not_, turns))
+        # The c+ - c- of all columns is n less twice the negative turns.
+        frontier[wall, 0, n - 2 * turns.count(False), matched] += 1
+    for _ in range(n - 1):
+        advanced = Counter()
+        for (west, b, c_left, ok), count in frontier.items():
+            for east, tally in columns(west, False):
+                if tally is None:
+                    advanced[east, b, c_left, False] += count
+                else:
+                    b_p, b_m, c_p, c_m = tally
+                    advanced[east, b + b_p - b_m, c_left - c_p + c_m, ok] += count
+        frontier = advanced
+        # Segment s's arrows hold n + s right arrows, so no west side recurs.
+        columns.cache_clear()
+    b_before_last = comb(n + 1, 2) - n
+    states = failures = 0
+    for (west, b, c_left, ok), count in frontier.items():
+        c_last, fills, passes = last_column(west)
+        if not (ok and b == b_before_last and c_left == c_last):
+            passes = 0
+        states += count * fills
+        failures += count * (fills - passes)
+    return states, failures
+
+
 def enumerate_states(n: int) -> Iterator[LatticeState]:
     """``column_walk``'s states, in its order: ``enumerate --dump`` prints it."""
     for columns in column_walk(n):
@@ -152,7 +230,7 @@ def heights(state: LatticeState) -> FaceGrid:
     Each arrow makes the face on its right one lower.  The scan walks down
     the wall column from the pinned upper-left face (0) through the
     segment-0 arrows, then along each face row through the vertical arrows.
-    It checks nothing: ``worker.lattice_suite`` judges the states.
+    It checks nothing: ``check_states`` judges the states.
     """
     n = state.n
     wall = [0] * (2 * n + 1)

@@ -4,18 +4,18 @@ Four families of checks:
 
 * pointwise theta-function identities (addition rule, quasi-periodicity,
   omega-shift collapse to the cubed nome, the psi and x(z) relations, and
-  the bridge from theta quotients to the G kernel): ``identity_suite``, or
-  its two halves, ``identity_draws`` and ``identity_reports``, which
-  ``verify`` runs in the parent and in a forked worker;
+  the bridge from theta quotients to the G kernel), in two halves,
+  ``identity_draws`` and ``identity_reports``, which ``verify`` runs in the
+  parent and in a forked worker;
 * equality of the state sum, summed by row transfer, with the determinant
   formula for the partition function at generic parameters;
 * the specialized partition function at eta = -2/3: its closed double-sum
   form over (turns, left-arrow row), both with a free last-column parameter
   and at the quarter point where it collapses onto the determinant route
-  through the exact polynomials;
-* exact structural invariants of every enumerated state, checked in a
-  fold along ``states.column_walk``'s search: ``worker.lattice_suite``,
-  which runs apart from this module and the numeric layer.
+  through the exact polynomial (``tpoly.pn_via_T``);
+* exact structural invariants of every state, summed by a column transfer
+  over ``states.column_walk``'s search: ``lattice_suite``, a thin wrapper
+  of ``states.check_states``.
 
 Every report carries the worst relative residual over the requested trials
 and a pass flag at the suite's tolerance.
@@ -32,15 +32,29 @@ from typing import NamedTuple
 
 from .exact import Poly
 from .lattice import CountTable, count_table
-from .pn import pn_consistent
+from .states import check_states
 from .theta import (OMEGA, TWO_PI_I, ModelParams, ParamSampler,
                     partition_filali, partition_transfer, psi_numeric, resample,
                     theta, theta_pm, x_numeric)
-from .tpoly import g_eval, t_prefactor
-from .worker import IdentityReport
+from .tpoly import g_eval, pn_via_T, t_prefactor
 
 POINTWISE_TOL = 1e-10
 DETERMINANT_TOL = 1e-8
+
+
+class IdentityReport(NamedTuple):
+    name: str
+    trials: int
+    max_rel_residual: float
+    passed: bool
+
+    def to_record(self) -> dict:
+        return {
+            "name": self.name,
+            "trials": self.trials,
+            "max_rel_residual": self.max_rel_residual,
+            "pass": self.passed,
+        }
 
 
 def relerr(a: complex, b: complex) -> float:
@@ -156,8 +170,8 @@ _POINTWISE = (  # (name, kinds, residual)
 
 def identity_draws(sampler: ParamSampler, trials: int = 100) -> list[list[tuple]]:
     """The arguments of every pointwise check's trials, drawn check by
-    check and each check's trials in a row, as ``identity_suite`` draws
-    them; ``identity_reports`` evaluates them."""
+    check and each check's trials in a row; ``identity_reports`` evaluates
+    them."""
     return [[tuple(_DRAW[kind](sampler) for kind in kinds) for _ in range(trials)]
             for _, kinds, _ in _POINTWISE]
 
@@ -169,10 +183,6 @@ def identity_reports(draws: list[list[tuple]]) -> list[IdentityReport]:
         value = _worst(residual(*args) for args in trials)
         reports.append(IdentityReport(name, len(trials), value, value <= POINTWISE_TOL))
     return reports
-
-
-def identity_suite(sampler: ParamSampler, trials: int = 100) -> list[IdentityReport]:
-    return identity_reports(identity_draws(sampler, trials))
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +359,7 @@ def specialization_suite(sampler: ParamSampler, trials: int = 5,
     reports = []
     for n in sizes:
         table = count_table(n)
-        pn_poly = pn_consistent(n, table)
+        pn_poly = pn_via_T(n)
         def draw(n=n, table=table, pn_poly=pn_poly):
             return specialization_check(
                 n, sampler.supersymmetric_params(n), table, pn_poly)
@@ -358,4 +368,19 @@ def specialization_suite(sampler: ParamSampler, trials: int = 5,
         for label, value in zip(SpecializationDraw._fields, map(_worst, zip(*draws))):
             reports.append(IdentityReport(f"{label}_n{n}", trials, value,
                                           value <= DETERMINANT_TOL))
+    return reports
+
+
+# ---------------------------------------------------------------------------
+# exact state invariants
+
+
+def lattice_suite(max_n: int = 3) -> list[IdentityReport]:
+    """One report per size up to ``max_n``: its states, and how many of
+    them break a rule (``states.check_states``)."""
+    reports = []
+    for n in range(1, max_n + 1):
+        states, failures = check_states(n)
+        reports.append(IdentityReport(f"state_invariants_n{n}", states,
+                                      float(failures), failures == 0))
     return reports

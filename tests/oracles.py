@@ -35,7 +35,7 @@ tally in ``lattice._packed_transfer``, and vertex kinds per state from one
 ``classify_vertex`` call per vertex (``vertex_census``), apart from
 the package's column tallies (``states.column_tally``), and the
 left-arrow row by a scan of segment n-1 (``left_arrow_row``), apart from
-the lattice suite's fold (``worker.lattice_suite``) and its per-state
+the lattice suite's column transfer (``states.check_states``) and its per-state
 reference (``column_violations`` in ``test_lattice.py``).  The state builders here fill row-major
 working arrays, ``right[r][s]`` for row r and segment s, and transpose them
 themselves into ``LatticeState``'s segment columns; nothing here uses

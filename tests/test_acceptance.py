@@ -13,7 +13,8 @@ from ice_colors.pn import (VARIANTS, _raw_sum, pn_consistent,
 from ice_colors.states import enumerate_states
 from ice_colors.theta import ParamSampler, partition_filali, partition_transfer, resample
 from ice_colors.tpoly import pn_via_T
-from ice_colors.verify import identity_suite, relerr, specialization_check
+from ice_colors.verify import (identity_draws, identity_reports, relerr,
+                               specialization_check)
 
 from oracles import all_assignment_states, transfer_counts_by_m
 from test_lattice import column_violations
@@ -71,7 +72,7 @@ def test_criterion_4_determinant_formula_agreement():
 
 def test_criterion_5_theta_identity_suite():
     started = time.monotonic()
-    reports = identity_suite(ParamSampler(7), trials=100)
+    reports = identity_reports(identity_draws(ParamSampler(7), trials=100))
     for report in reports:
         assert report.max_rel_residual <= 1e-10, (report.name,
                                                   report.max_rel_residual)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import ice_colors
-from ice_colors import cli, pn, states, verify, worker
+from ice_colors import cli, pn, states, verify
 from ice_colors.cli import build_parser, main, run
 from ice_colors.exact import SingularInputError
 from ice_colors.states import enumerate_states, render_state
@@ -185,37 +185,17 @@ def test_state_breaking_lattice_rules_is_reported(capsys, monkeypatch):
 
 @pytest.mark.parametrize("seed, n", [(0, 3), (7, 3), (17, 3), (0, 4)])
 def test_verify_equals_the_suites_run_in_process(capsys, seed, n):
-    # The lattice suite runs in a forked worker; the report must be the
+    # The pointwise checks run in a forked worker; the report must be the
     # in-process suites' records, the lattice reports first.
     code, out, err = run_cli(capsys, "verify", "--suite", "all", "--n", str(n),
                              "--seed", str(seed))
     sampler = ParamSampler(seed)
-    reports = (worker.lattice_suite(max_n=n)
-               + verify.identity_suite(sampler, trials=100)
+    reports = (verify.lattice_suite(max_n=n)
+               + verify.identity_reports(verify.identity_draws(sampler, trials=100))
                + verify.filali_suite(sampler, trials=20)
                + verify.specialization_suite(sampler, trials=5))
     assert out == json.dumps([r.to_record() for r in reports]) + "\n"
     assert (code, err) == (0 if all(r.passed for r in reports) else 1, "")
-
-
-def _killed_by_sigkill(max_n, parent=os.getpid()):
-    if os.getpid() == parent:
-        raise AssertionError("the lattice suite ran in the parent")
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
-def _raises(max_n):
-    raise RuntimeError("lattice suite broke")
-
-
-@pytest.mark.parametrize("suite, status", [
-    (_raises, "lattice worker exited with status 1\n"),
-    (_killed_by_sigkill, "lattice worker killed by SIGKILL\n"),
-], ids=["raises", "sigkill"])
-def test_failed_lattice_worker_exits_2(capsys, monkeypatch, suite, status):
-    monkeypatch.setattr(worker, "lattice_suite", suite)
-    for argv in (("--suite", "lattice"), ("--suite", "all", "--trials", "1")):
-        assert run_cli(capsys, "verify", *argv, "--n", "2") == (2, "", status)
 
 
 def _reports_killed_by_sigkill(draws, parent=os.getpid()):
@@ -236,30 +216,6 @@ def test_failed_identity_worker_exits_2(capsys, monkeypatch, reports, status):
     monkeypatch.setattr(verify, "identity_reports", reports)
     for argv in (("--suite", "theta"), ("--suite", "all", "--trials", "1")):
         assert run_cli(capsys, "verify", *argv, "--n", "2") == (2, "", status)
-
-
-def test_lattice_worker_forks_before_the_numeric_layer_loads():
-    # The worker is forked before verify loads theta, so it never holds the
-    # numeric layer.  pytest's own process has loaded theta already, so the
-    # run is made in a fresh interpreter.
-    src = str(Path(ice_colors.__file__).resolve().parents[1])
-    script = """
-import sys
-from ice_colors import cli, worker
-suite = worker.lattice_suite
-def checked(max_n):
-    loaded = {'ice_colors.theta', 'ice_colors.verify'} & set(sys.modules)
-    assert not loaded, sorted(loaded)
-    return suite(max_n)
-worker.lattice_suite = checked
-cli.main(['verify', '--suite', 'all', '--n', '2', '--trials', '4'])
-"""
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
-    assert (done.returncode, done.stderr) == (0, "")
-    records = json.loads(done.stdout)
-    assert [r["name"] for r in records[:3]] == [
-        "state_invariants_n1", "state_invariants_n2", "addition_rule"]
 
 
 @pytest.fixture
@@ -289,34 +245,39 @@ def _assert_reaped(pid):
 
 
 def test_worker_is_reaped_after_a_run(capsys, forks):
-    assert run_cli(capsys, "verify", "--suite", "lattice", "--n", "2")[0] == 0
+    assert run_cli(capsys, "verify", "--suite", "theta")[0] == 0
     assert len(forks) == 1
     _assert_reaped(forks[0])
 
 
+def test_lattice_suite_forks_nothing(capsys, forks):
+    assert run_cli(capsys, "verify", "--suite", "lattice", "--n", "3")[0] == 0
+    assert forks == []
+
+
 def test_exception_in_parent_kills_the_worker(capsys, monkeypatch, forks):
-    # The lattice suite at n = 6 walks 595,497,600 states: the lattice
-    # worker is still running when the parent's suite raises, and neither
-    # it nor the identity worker may outlive the run.
+    # At 5,000 trials the identity worker evaluates 50,000 pointwise checks,
+    # so it is still running when the parent's suite raises, and it may not
+    # outlive the run.
     def near_singular(sampler, trials):
         raise NearSingularError("no well-conditioned draw")
 
     monkeypatch.setattr(verify, "filali_suite", near_singular)
     with pytest.raises(NearSingularError):
-        run_cli(capsys, "verify", "--suite", "all", "--n", "6")
-    assert len(forks) == 2
-    for pid in forks:
-        _assert_reaped(pid)
+        run_cli(capsys, "verify", "--suite", "all", "--n", "2", "--trials", "5000")
+    assert len(forks) == 1
+    _assert_reaped(forks[0])
 
 
 def test_time_budget_leaves_no_worker():
     # The worker inherits the run's process group, which is empty once the
-    # run has exited if nothing it forked survived.
+    # run has exited if nothing it forked survived.  The lattice suite at
+    # n = 7 takes seconds in the parent, so the budget runs out in it.
     src = str(Path(ice_colors.__file__).resolve().parents[1])
     start = time.monotonic()
     proc = subprocess.Popen(
         [sys.executable, "-m", "ice_colors.cli", "verify", "--suite", "all",
-         "--n", "6", "--time-budget", "0.5"],
+         "--n", "7", "--time-budget", "0.5"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         start_new_session=True, env={**os.environ, "PYTHONPATH": src})
     try:
@@ -337,8 +298,8 @@ def test_time_budget_leaves_no_worker():
                          ids=lambda sig: sig.name)
 def test_killed_parent_leaves_no_worker(sig):
     # A parent ended by a signal it does not handle runs no cleanup; the
-    # orphaned workers must notice and exit by themselves.  At 5,000 trials
-    # the identity worker runs for seconds too.
+    # orphaned worker must notice and exit by itself.  At 5,000 trials the
+    # identity worker runs for seconds, and so does the parent.
     src = str(Path(ice_colors.__file__).resolve().parents[1])
     proc = subprocess.Popen(
         [sys.executable, "-m", "ice_colors.cli", "verify", "--suite", "all",
@@ -346,7 +307,7 @@ def test_killed_parent_leaves_no_worker(sig):
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         start_new_session=True, env={**os.environ, "PYTHONPATH": src})
     try:
-        time.sleep(1)  # time to start the workers; the lattice one walks states for hours
+        time.sleep(1)  # time to fork the identity worker
         proc.send_signal(sig)
         assert proc.wait(timeout=30) == -sig
         deadline = time.monotonic() + 10

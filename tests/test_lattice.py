@@ -7,12 +7,12 @@ from operator import not_
 
 import pytest
 
-from ice_colors import lattice, states, worker
+from ice_colors import lattice, states
 from ice_colors.lattice import CountTable, LeftArrowError, color_marginals, count_table
 from ice_colors.states import (VERTEX_KINDS, IceRuleError, LatticeState,
                                column_walk, enumerate_states, heights,
                                render_state, wall_arrows)
-from ice_colors.worker import lattice_suite
+from ice_colors.verify import lattice_suite
 
 from oracles import (all_assignment_states, classified_grid, color_counts,
                      left_arrow_row, transfer_counts_by_m, vertex_census,
@@ -502,7 +502,8 @@ def reference_verdicts():
 
 
 def test_lattice_suite_verdicts_are_state_violations(monkeypatch):
-    # The suite folds the rules along the walk's search.  Per size, its
+    # The suite sums the rules over the walk's search by a column transfer.
+    # Per size, its
     # (states, failures) must be the per-state reference's over every state
     # of column_walk up to n = 4, with the kind tables as they are and under
     # each fault of them.
@@ -524,10 +525,11 @@ def test_lattice_suite_verdicts_are_state_violations(monkeypatch):
 
 
 def test_lattice_suite_tallies_each_distinct_column_once(monkeypatch):
-    # No face grid per state: heights is never called, and the fold's own
-    # memo tallies each distinct column once.  (A column's west side has
+    # No face grid per state: heights is never called, and the transfer's
+    # own memo tallies each distinct column once.  (A column's west side has
     # n + c right arrows, so no column recurs at another place or size.)
     grids, tallied = [], []
+    tally = states.column_tally
 
     def counted_heights(state):
         grids.append(state)
@@ -535,10 +537,10 @@ def test_lattice_suite_tallies_each_distinct_column_once(monkeypatch):
 
     def counted_tally(west, east, up):
         tallied.append((west, east, up))
-        return states.column_tally(west, east, up)
+        return tally(west, east, up)
 
     monkeypatch.setattr(states, "heights", counted_heights)
-    monkeypatch.setattr(worker, "column_tally", counted_tally)
+    monkeypatch.setattr(states, "column_tally", counted_tally)
     reports = lattice_suite(3)
     columns = set()
     for n in (1, 2, 3):
@@ -562,10 +564,9 @@ def test_lattice_suite_tallies_each_distinct_column_once(monkeypatch):
      [(2, 0.0), (12, 6.0), (208, 101.0), (10336, 4862.0)]),
 ], ids=["flipped", "exchanged"])
 def test_lattice_suite_fails_a_wall_off_the_turns(monkeypatch, fault, pinned):
-    # The faulted wall, in the walk and the fold alike: the suite must fail
-    # exactly the states the per-state reference fails.
+    # The faulted wall, in the walk and the transfer alike: the suite must
+    # fail exactly the states the per-state reference fails.
     monkeypatch.setattr(states, "wall_arrows", fault)
-    monkeypatch.setattr(worker, "wall_arrows", fault)
     verdicts = [(r.trials, r.max_rel_residual) for r in lattice_suite(4)]
     assert verdicts == reference_verdicts() == pinned
 
@@ -692,6 +693,16 @@ def test_color_marginals_enumerative_anchors():
             assert set(by_l) == set(range(1, 2 * n + 1))
             assert all(by_l[l] == by_l[2 * n + 1 - l] for l in by_l)
             assert by_l[1] == by_l[2 * n] == 2 ** (n - 1) * vsasm_count(n - 1), n
+
+
+def test_lattice_suite_counts_the_states_from_outside_the_fills():
+    # The suite and its per-state reference share the column fills, so a
+    # fill dropped from _COMPLETIONS breaks no rule they check; the count,
+    # 2^n A_V(2n+1), comes from outside them.
+    reports = lattice_suite(6)
+    assert [(r.trials, r.max_rel_residual) for r in reports] == [
+        (2 ** n * vsasm_count(n), 0.0) for n in range(1, 7)]
+    assert reports[-1].trials == 595497600
 
 
 def test_count_table_serialization_round_trip():

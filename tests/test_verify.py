@@ -7,11 +7,10 @@ from ice_colors import lattice, theta, verify
 from ice_colors.lattice import CountTable, count_table
 from ice_colors.pn import pn_consistent
 from ice_colors.theta import ParamSampler, resample
-from ice_colors.verify import (POINTWISE_TOL, filali_suite, grouped_state_sum,
-                               identity_draws, identity_reports, identity_suite,
-                               quarter_point_state_sum, relerr,
+from ice_colors.verify import (POINTWISE_TOL, IdentityReport, filali_suite,
+                               grouped_state_sum, identity_draws, identity_reports,
+                               lattice_suite, quarter_point_state_sum, relerr,
                                specialization_check, specialization_suite)
-from ice_colors.worker import IdentityReport, lattice_suite
 
 
 def test_relerr():
@@ -21,7 +20,7 @@ def test_relerr():
 
 
 def test_identity_suite_passes():
-    reports = identity_suite(ParamSampler(3), trials=25)
+    reports = identity_reports(identity_draws(ParamSampler(3), trials=25))
     assert len(reports) == 10
     for report in reports:
         assert report.passed, (report.name, report.max_rel_residual)
@@ -101,21 +100,24 @@ def test_lattice_suite():
 
 
 def test_identity_suite_deterministic_under_seed():
-    a = identity_suite(ParamSampler(21), trials=10)
-    b = identity_suite(ParamSampler(21), trials=10)
+    a = identity_reports(identity_draws(ParamSampler(21), trials=10))
+    b = identity_reports(identity_draws(ParamSampler(21), trials=10))
     assert [r.max_rel_residual for r in a] == [r.max_rel_residual for r in b]
 
 
 @pytest.mark.parametrize("seed", [0, 7, 17, 32])
 def test_identity_draws_then_reports_is_the_suite(seed):
     # verify draws every pointwise argument in the parent and evaluates them
-    # in a worker: the reports and the sampler's state after the draws must
-    # be those of the suite run in one go.
-    drawn, whole = ParamSampler(seed), ParamSampler(seed)
-    reports = identity_reports(identity_draws(drawn, trials=100))
-    assert drawn.rng.getstate() != ParamSampler(seed).rng.getstate()
-    assert reports == identity_suite(whole, trials=100)
-    assert drawn.rng.getstate() == whole.rng.getstate()
+    # in a worker: the draws advance the sampler the filali suite then
+    # draws from, and their evaluation draws nothing more.
+    drawn = ParamSampler(seed)
+    draws = identity_draws(drawn, trials=100)
+    after = drawn.rng.getstate()
+    assert after != ParamSampler(seed).rng.getstate()
+    reports = identity_reports(draws)
+    assert [(r.name, r.trials) for r in reports] == [
+        (name, 100) for name, _, _ in verify._POINTWISE]
+    assert drawn.rng.getstate() == after
 
 
 def _nan_on_call(fn, call=2):
@@ -140,7 +142,7 @@ def test_nan_in_a_pointwise_trial_fails_its_report(monkeypatch):
     name, kinds, residual = verify._POINTWISE[0]
     monkeypatch.setattr(verify, "_POINTWISE",
                         ((name, kinds, _nan_on_call(residual)),) + verify._POINTWISE[1:])
-    reports = identity_suite(ParamSampler(0), trials=3)
+    reports = identity_reports(identity_draws(ParamSampler(0), trials=3))
     assert math.isnan(reports[0].max_rel_residual)
     assert [r.passed for r in reports] == [False] + [True] * 9
 
