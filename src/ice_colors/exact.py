@@ -19,7 +19,8 @@ from typing import Iterable, Sequence
 
 
 class SingularInputError(ValueError):
-    """An evaluation hit a zero denominator or coincident sample points."""
+    """Exact data that does not fit the polynomial it should give: a term
+    or degree out of range, or an inexact division."""
 
 
 def _frac(x) -> Fraction:
@@ -98,20 +99,13 @@ def det_exact(matrix: Sequence[Sequence[int]]) -> int:
     return sign * a[k - 1][k - 1]
 
 
-def interpolate(points: Sequence[tuple]) -> Poly:
-    """Unique polynomial of degree < k through k points at consecutive
-    increasing integers x0, x0+1, ...  The forward differences d_j of the
+def interpolate(x0: int, values: Sequence) -> Poly:
+    """Unique polynomial of degree < k through the k ``values`` at the
+    consecutive integers x0, x0+1, ...  The forward differences d_j of the
     values over their common denominator L are integers, and so is the
     Newton form sum_j d_j (z-x0)...(z-x0-j+1) (k-1)!/j!, expanded by
-    Horner's rule; each coefficient is one Fraction over L (k-1)!.  A
-    duplicate abscissa raises SingularInputError, other spacing ValueError."""
-    xs = [_frac(x) for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise SingularInputError("duplicate abscissa in interpolation data")
-    x0 = xs[0].numerator if xs else 0
-    if xs != list(range(x0, x0 + len(xs))):
-        raise ValueError("abscissae are not consecutive increasing integers")
-    ys = [_frac(y) for _, y in points]
+    Horner's rule; each coefficient is one Fraction over L (k-1)!."""
+    ys = [_frac(y) for y in values]
     scale = lcm(*(y.denominator for y in ys))
     diffs = [y.numerator * (scale // y.denominator) for y in ys]
     for level in range(1, len(diffs)):  # diffs[j] becomes the j-th difference

@@ -23,10 +23,9 @@ west side exactly when its every vertex obeys the ice rule, and a turn
 matches its wall faces exactly when its two segment-0 arrows follow its flow.
 So heights exist exactly when both hold everywhere (Lenard's bijection):
 ``check_states`` judges the states by these rules in a column transfer
-over ``column_walk``'s search, from each column's ``column_tally``, and
-``heights`` trusts them.  ``column_walk`` lists the states as these columns,
-each column by ``column_fills``, and ``enumerate_states`` wraps each in a
-``LatticeState``.
+over ``enumerate_states``'s search, from each column's ``column_tally``,
+and ``heights`` trusts them.  ``enumerate_states`` yields each state as a
+``LatticeState`` of these columns, each column by ``column_fills``.
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ Columns = tuple[tuple[bool, ...], ...]  # arrows per lattice column or segment, 
 
 class LatticeState(NamedTuple):
     """Arrow assignment on every edge and turn of the 2n x n lattice, by
-    columns as ``column_walk`` yields them (module docstring)."""
+    columns (module docstring), as ``enumerate_states`` yields it."""
 
     n: int
     segments: Columns
@@ -99,10 +98,10 @@ def column_tally(west: tuple[bool, ...], east: tuple[bool, ...],
 
 
 def wall_arrows(turns: tuple[bool, ...]) -> tuple[bool, ...]:
-    """The segment-0 arrows, bottom-up, that ``column_walk`` and the lattice
-    suite start each state from: a positive turn's lower branch arrow points
-    left (into the turn) and its upper one right (out of it); a negative
-    turn's the reverse."""
+    """The segment-0 arrows, bottom-up, that ``enumerate_states`` and the
+    lattice suite start each state from: a positive turn's lower branch
+    arrow points left (into the turn) and its upper one right (out of it);
+    a negative turn's the reverse."""
     return tuple(arrow for pos in turns for arrow in (not pos, pos))
 
 
@@ -113,11 +112,9 @@ def column_fills(west: tuple[bool, ...], last: bool) -> list[LineFill]:
     return [fill for fill in line_fills(west, True, False) if not last or all(fill[1])]
 
 
-def column_walk(n: int) -> Iterator[tuple[Columns, Columns, tuple[bool, ...]]]:
-    """Yield every admissible state once, in a fixed order, by columns:
-    ``(segments, up, turns)``, each segment's horizontal arrows from the
-    wall's (0) to the right boundary's (n), each lattice column's vertical
-    edges, both bottom-up, and the turn signs.
+def enumerate_states(n: int) -> Iterator[LatticeState]:
+    """Yield every admissible state once, in a fixed order; ``enumerate
+    --dump`` prints them.
 
     A depth-first search fills one lattice column at a time from the
     turn signs' ``wall_arrows``, each by ``column_fills`` (listed once per
@@ -131,11 +128,11 @@ def column_walk(n: int) -> Iterator[tuple[Columns, Columns, tuple[bool, ...]]]:
 
     fills = cache(column_fills)  # memos live for this call only
 
-    def search(c: int) -> Iterator[tuple[Columns, Columns, tuple[bool, ...]]]:
+    def search(c: int) -> Iterator[LatticeState]:
         last = c == n - 1
         for ups[c], segments[c + 1] in fills(segments[c], last):
             if last:
-                yield tuple(segments), tuple(ups), turns
+                yield LatticeState(n, tuple(segments), tuple(ups), turns)
             else:
                 yield from search(c + 1)
 
@@ -145,10 +142,11 @@ def column_walk(n: int) -> Iterator[tuple[Columns, Columns, tuple[bool, ...]]]:
 
 
 def check_states(n: int) -> tuple[int, int]:
-    """``(states, failures)`` of size ``n``: each state of ``column_walk``'s
-    search fails unless every vertex obeys the ice rule, b+ - b- = C(n+1, 2),
-    c+ - c- + 2 k- = n, segment n-1 holds one left arrow and the rightmost
-    column's census matches its row, and the wall's arrows match the turns.
+    """``(states, failures)`` of size ``n``: each state of
+    ``enumerate_states``'s search fails unless every vertex obeys the ice
+    rule, b+ - b- = C(n+1, 2), c+ - c- + 2 k- = n, segment n-1 holds one left
+    arrow and the rightmost column's census matches its row, and the wall's
+    arrows match the turns.
 
     A column transfer sums the states instead of visiting them: its
     frontier maps (west side, b+ - b-, c+ - c- still to match, every rule
@@ -216,12 +214,6 @@ def check_states(n: int) -> tuple[int, int]:
         states += count * fills
         failures += count * (fills - passes)
     return states, failures
-
-
-def enumerate_states(n: int) -> Iterator[LatticeState]:
-    """``column_walk``'s states, in its order: ``enumerate --dump`` prints it."""
-    for columns in column_walk(n):
-        yield LatticeState(n, *columns)
 
 
 def heights(state: LatticeState) -> FaceGrid:

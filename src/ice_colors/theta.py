@@ -128,18 +128,19 @@ def vertex_weight(kind: str, lam_arg: complex, z: int, params: ModelParams) -> c
     raise ValueError(f"unknown vertex kind {kind!r}")
 
 
-def turn_weight(kind: str, lam: complex, z: int, params: ModelParams) -> complex:
-    """Weight of one turn; z is the height just outside the turn."""
+def turn_weight(kind: str, lam: complex, params: ModelParams) -> complex:
+    """Weight of one turn.  The face just outside it is a wall face, whose
+    height is 0 (``lattice``)."""
     br = params.bracket
     if kind == "k+":
-        return br(params.rho + z + params.zeta - lam) / _guard(
-            br(params.rho + z + params.zeta + lam))
+        return br(params.rho + params.zeta - lam) / _guard(
+            br(params.rho + params.zeta + lam))
     if kind == "k-":
         return br(params.zeta - lam) / _guard(br(params.zeta + lam))
     raise ValueError(f"unknown turn kind {kind!r}")
 
 
-def partition_transfer(n: int, params: ModelParams) -> complex:
+def partition_transfer(params: ModelParams) -> complex:
     """State sum of local weights by ``lattice.row_transfer`` (Baxter's SOS
     transfer matrix), building no state.  A frontier value is the summed
     weight below its vertical edges; ``step`` sums turn x lower row x upper
@@ -148,9 +149,6 @@ def partition_transfer(n: int, params: ModelParams) -> complex:
     it, whose wall face is 0: below a lower row, above an upper one.  Only
     weights that some state uses are evaluated, so ``NearSingularError`` is
     raised exactly when one of them is near-singular."""
-    if params.n != n:
-        raise ValueError("parameter count does not match n")
-
     fills = cache(line_fills)  # per call, so each sum follows _COMPLETIONS as it is
 
     @cache
@@ -167,7 +165,7 @@ def partition_transfer(n: int, params: ModelParams) -> complex:
 
     def step(i: int, below: tuple[bool, ...]):
         lam = params.lam[i]
-        turns = [turn_weight(kind, lam, 0, params) for kind in ("k-", "k+")]
+        turns = [turn_weight(kind, lam, params) for kind in ("k-", "k+")]
         sums: dict[tuple[bool, ...], complex] = {}
         for positive, (lower, mid), (upper, above) in double_line_fills(below, fills):
             weight = (turns[positive] * row(lam, False, lower, below, mid)
@@ -175,7 +173,8 @@ def partition_transfer(n: int, params: ModelParams) -> complex:
             sums[above] = sums.get(above, 0j) + weight
         return sums.items()
 
-    return row_transfer(n, 1 + 0j, step, lambda acc, value, w: (acc or 0) + value * w)
+    return row_transfer(params.n, 1 + 0j, step,
+                        lambda acc, value, w: (acc or 0) + value * w)
 
 
 def det_complex(matrix: list[list[complex]]) -> complex:
@@ -198,12 +197,10 @@ def det_complex(matrix: list[list[complex]]) -> complex:
     return det
 
 
-def partition_filali(n: int, params: ModelParams) -> complex:
+def partition_filali(params: ModelParams) -> complex:
     """Determinant formula for the same partition function."""
-    if params.n != n:
-        raise ValueError("parameter count does not match n")
     br = params.bracket
-    lam, mu, rho, zeta = params.lam, params.mu, params.rho, params.zeta
+    n, lam, mu, rho, zeta = params.n, params.lam, params.mu, params.rho, params.zeta
 
     value = _guard(br(1)) ** (n - 2 * n * n)
     for i in range(1, n + 1):

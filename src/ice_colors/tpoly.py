@@ -123,8 +123,9 @@ def pn_via_T(n: int) -> Poly:
 
     At each z = 2..n(n-1)+3, psi = -(1+z)/(2z) makes -1/(2*psi+1) = z, and
     the coalesced T value over the prefactor is the polynomial's value.
-    ``interpolate`` takes these consecutive nodes; the one beyond the degree
-    guards it: the interpolant's degree must not exceed n(n-1).
+    ``interpolate`` takes the values at these consecutive nodes from 2; the
+    one beyond the degree guards them: the interpolant's degree must not
+    exceed n(n-1).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -132,8 +133,8 @@ def pn_via_T(n: int) -> Poly:
     samples = []
     for z in range(2, deg + 4):
         psi = Fraction(-(1 + z), 2 * z)
-        samples.append((z, t_at_specialization(psi, n) / t_prefactor(psi, n)))
-    poly = interpolate(samples)
+        samples.append(t_at_specialization(psi, n) / t_prefactor(psi, n))
+    poly = interpolate(2, samples)
     if poly.degree > deg:
         raise SingularInputError("specialized T is not polynomial of expected degree")
     return poly

@@ -14,9 +14,10 @@ Four families of checks:
   and at the quarter point where it collapses onto the determinant route
   through the exact polynomial (``tpoly.pn_via_T``);
 * exact structural invariants of every state, summed by a column transfer
-  over ``states.column_walk``'s search: ``lattice_suite``, a thin wrapper
-  of ``states.check_states``.
+  over ``states.enumerate_states``'s search: ``lattice_suite``, a thin
+  wrapper of ``states.check_states``.
 
+The numeric checks take their size from their draw, ``ModelParams.n``.
 Every report carries the worst relative residual over the requested trials
 and a pass flag at the suite's tolerance.
 """
@@ -195,7 +196,7 @@ def filali_suite(sampler: ParamSampler, trials: int = 20,
     for n in sizes:
         def draw(n=n):
             params = sampler.params(n)
-            return relerr(partition_transfer(n, params), partition_filali(n, params))
+            return relerr(partition_transfer(params), partition_filali(params))
 
         value = _worst(resample(draw) for _ in range(trials))
         reports.append(IdentityReport(f"determinant_formula_n{n}", trials, value,
@@ -231,10 +232,10 @@ def _turn_row_factor(params: ModelParams, rho_m: complex, zeta_m: complex,
             * (theta(zeta_m * OMEGA**2, p) / theta(zeta_m * OMEGA, p)) ** (n - m))
 
 
-def grouped_state_sum(n: int, params: ModelParams, table: CountTable) -> complex:
+def grouped_state_sum(params: ModelParams, table: CountTable) -> complex:
     """Closed form of the specialized partition function as a double sum
     over turn count and left-arrow row, with a free last-column parameter."""
-    p, q = params.p, params.q_pow
+    n, p, q = params.n, params.p, params.q_pow
     mu_n = params.mu[-1]
     rho_m, zeta_m = q(params.rho), q(params.zeta)
     face_sums = _color_weighted_sums(table, rho_m, p)
@@ -265,9 +266,9 @@ def grouped_state_sum(n: int, params: ModelParams, table: CountTable) -> complex
     return prefactor * total
 
 
-def quarter_point_state_sum(n: int, params: ModelParams, table: CountTable) -> complex:
+def quarter_point_state_sum(params: ModelParams, table: CountTable) -> complex:
     """The same double sum after fixing the last-column parameter to 1/4."""
-    p, q = params.p, params.q_pow
+    n, p, q = params.n, params.p, params.q_pow
     rho_m, zeta_m = q(params.rho), q(params.zeta)
     face_sums = _color_weighted_sums(table, rho_m, p)
 
@@ -293,10 +294,10 @@ def quarter_point_state_sum(n: int, params: ModelParams, table: CountTable) -> c
     return prefactor * total
 
 
-def quarter_point_determinant(n: int, params: ModelParams, pn_poly: Poly) -> complex:
+def quarter_point_determinant(params: ModelParams, pn_poly: Poly) -> complex:
     """The determinant route at the quarter point: prefactors times the
     coalesced T value, the latter reproduced from the exact polynomial."""
-    p, q = params.p, params.q_pow
+    n, p, q = params.n, params.p, params.q_pow
     rho_m, zeta_m = q(params.rho), q(params.zeta)
     sp = cmath.sqrt(p)
     psi = psi_numeric(p)
@@ -337,7 +338,7 @@ class SpecializationDraw(NamedTuple):
     quarter_point_determinant: float
 
 
-def specialization_check(n: int, params: ModelParams, table: CountTable,
+def specialization_check(params: ModelParams, table: CountTable,
                          pn_poly: Poly) -> SpecializationDraw:
     """Residuals of the three specialized identities for one parameter draw.
 
@@ -345,12 +346,12 @@ def specialization_check(n: int, params: ModelParams, table: CountTable,
     last one, which stays generic; the quarter-point checks replace it by
     1/4 internally.
     """
-    total = partition_transfer(n, params)
-    generic = relerr(total, grouped_state_sum(n, params, table))
+    total = partition_transfer(params)
+    generic = relerr(total, grouped_state_sum(params, table))
     quarter = replace(params, mu=params.mu[:-1] + (0.25 + 0j,))
-    total_q = partition_transfer(n, quarter)
-    qsum = relerr(total_q, quarter_point_state_sum(n, quarter, table))
-    qdet = relerr(total_q, quarter_point_determinant(n, quarter, pn_poly))
+    total_q = partition_transfer(quarter)
+    qsum = relerr(total_q, quarter_point_state_sum(quarter, table))
+    qdet = relerr(total_q, quarter_point_determinant(quarter, pn_poly))
     return SpecializationDraw(generic, qsum, qdet)
 
 
@@ -362,7 +363,7 @@ def specialization_suite(sampler: ParamSampler, trials: int = 5,
         pn_poly = pn_via_T(n)
         def draw(n=n, table=table, pn_poly=pn_poly):
             return specialization_check(
-                n, sampler.supersymmetric_params(n), table, pn_poly)
+                sampler.supersymmetric_params(n), table, pn_poly)
 
         draws = [resample(draw) for _ in range(trials)]
         for label, value in zip(SpecializationDraw._fields, map(_worst, zip(*draws))):

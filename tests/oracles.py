@@ -39,7 +39,7 @@ the lattice suite's column transfer (``states.check_states``) and its per-state
 reference (``column_violations`` in ``test_lattice.py``).  The state builders here fill row-major
 working arrays, ``right[r][s]`` for row r and segment s, and transpose them
 themselves into ``LatticeState``'s segment columns; nothing here uses
-``states.column_walk``.
+``states.enumerate_states``.
 """
 
 from __future__ import annotations
@@ -194,7 +194,7 @@ def brute_sum_per_state(n: int, params: ModelParams) -> complex:
                     z = grid[r][c]  # lower-left face
                 weight *= vertex_weight(kinds[r][c], lam_arg, z, params)
         for i, pos in enumerate(state.turn_positive):
-            weight *= turn_weight("k+" if pos else "k-", params.lam[i], 0, params)
+            weight *= turn_weight("k+" if pos else "k-", params.lam[i], params)
         total += weight
     return total
 

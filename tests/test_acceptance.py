@@ -63,8 +63,7 @@ def test_criterion_4_determinant_formula_agreement():
         for _ in range(20):
             def draw(n=n):
                 params = sampler.params(n)
-                return relerr(partition_transfer(n, params),
-                              partition_filali(n, params))
+                return relerr(partition_transfer(params), partition_filali(params))
 
             assert resample(draw) <= 1e-8
     _report(4, "state sum vs determinant, 20 draws", started, 60.0)
@@ -115,7 +114,7 @@ def test_criterion_8_specialized_partition_function():
         for _ in range(3):
             def draw(n=n, table=table, poly=poly):
                 return specialization_check(
-                    n, sampler.supersymmetric_params(n), table, poly)
+                    sampler.supersymmetric_params(n), table, poly)
 
             result = resample(draw)
             assert result.grouped_state_sum <= 1e-8

@@ -3,15 +3,15 @@ import json
 from collections import Counter
 from itertools import product
 from math import comb, factorial
-from operator import not_
+from operator import add, not_
 
 import pytest
 
 from ice_colors import lattice, states
 from ice_colors.lattice import CountTable, LeftArrowError, color_marginals, count_table
 from ice_colors.states import (VERTEX_KINDS, IceRuleError, LatticeState,
-                               column_walk, enumerate_states, heights,
-                               render_state, wall_arrows)
+                               enumerate_states, heights, render_state,
+                               wall_arrows)
 from ice_colors.verify import lattice_suite
 
 from oracles import (all_assignment_states, classified_grid, color_counts,
@@ -21,7 +21,7 @@ from oracles import (all_assignment_states, classified_grid, color_counts,
 
 def column_violations(n, segments, up, turns):
     """The per-state reference for the lattice suite's verdicts: every exact
-    rule of a state of size ``n`` as ``column_walk`` yields it, as
+    rule of a state of size ``n`` by its columns (``LatticeState``), as
     human-readable failures or a broken lattice rule's message, by Lenard's
     bijection (``states`` docstring), from one ``column_tally`` per column
     and no face grid."""
@@ -495,18 +495,17 @@ def kind_faults():
 
 def reference_verdicts():
     """Per size up to n = 4, ``(states, failures)`` of the per-state
-    reference over every state of ``column_walk``."""
-    found = [[bool(column_violations(n, *columns)) for columns in column_walk(n)]
+    reference over every state of ``enumerate_states``."""
+    found = [[bool(column_violations(*state)) for state in enumerate_states(n)]
              for n in range(1, 5)]
     return [(len(failed), float(sum(failed))) for failed in found]
 
 
 def test_lattice_suite_verdicts_are_state_violations(monkeypatch):
     # The suite sums the rules over the walk's search by a column transfer.
-    # Per size, its
-    # (states, failures) must be the per-state reference's over every state
-    # of column_walk up to n = 4, with the kind tables as they are and under
-    # each fault of them.
+    # Per size, its (states, failures) must be the per-state reference's over
+    # every state of enumerate_states up to n = 4, with the kind tables as
+    # they are and under each fault of them.
     outcomes = {}
     for label, tables in kind_faults():
         with monkeypatch.context() as patched:
@@ -544,7 +543,7 @@ def test_lattice_suite_tallies_each_distinct_column_once(monkeypatch):
     reports = lattice_suite(3)
     columns = set()
     for n in (1, 2, 3):
-        for segments, up, _ in column_walk(n):
+        for _, segments, up, _ in enumerate_states(n):
             columns.update((segments[c], segments[c + 1], up[c]) for c in range(n))
     assert [(r.trials, r.passed) for r in reports] == [(2, True), (12, True), (208, True)]
     assert grids == []
@@ -569,6 +568,35 @@ def test_lattice_suite_fails_a_wall_off_the_turns(monkeypatch, fault, pinned):
     monkeypatch.setattr(states, "wall_arrows", fault)
     verdicts = [(r.trials, r.max_rel_residual) for r in lattice_suite(4)]
     assert verdicts == reference_verdicts() == pinned
+
+
+@pytest.mark.parametrize("n, pinned", [(3, (208, 6)), (4, (10336, 52))],
+                         ids=["n3", "n4"])
+def test_lattice_suite_fails_an_ice_rule_fault_the_census_hides(monkeypatch, n, pinned):
+    # Every valid column c adds c + 1 to b+ - b-, so a column whose tally is
+    # lost also breaks the b census identity, and no fault in one column
+    # tests the ice-rule verdict alone.  Here one column-0 fill breaks the
+    # ice rule and its census moves to each column-1 fill east of it (a
+    # column's west side tells its place): the states through that fill keep
+    # every census identity, so only the ice-rule verdict fails them.
+    tally = states.column_tally
+    west = wall_arrows((True,) * n)
+    up, east = states.column_fills(west, False)[0]
+    moved = tally(west, east, up)
+
+    def faulted_tally(w, e, u):
+        if (w, e, u) == (west, east, up):
+            raise IceRuleError("faulted column")
+        census = tally(w, e, u)
+        return tuple(map(add, census, moved)) if w == east else census
+
+    monkeypatch.setattr(states, "column_tally", faulted_tally)
+    walk = list(enumerate_states(n))
+    failed = [bool(column_violations(*state)) for state in walk]
+    assert states.check_states(n) == (len(walk), sum(failed)) == pinned
+    through = [fails for state, fails in zip(walk, failed)
+               if (state.segments[0], state.segments[1], state.up[0]) == (west, east, up)]
+    assert through and all(through)
 
 
 def test_count_table_n1_exact():

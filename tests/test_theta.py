@@ -132,17 +132,10 @@ def test_vertex_weight_examples():
         assert vertex_weight("a+", lam, z, params) == vertex_weight("a-", lam, z, params)
     assert abs(vertex_weight("b+", 0j, 1, params)) < 1e-13
     assert abs(vertex_weight("c+", 0j, 2, params) - 1) < 1e-13
-    assert abs(turn_weight("k+", 0j, 0, params) - 1) < 1e-13
-    assert abs(turn_weight("k-", 0j, 0, params) - 1) < 1e-13
+    assert abs(turn_weight("k+", 0j, params) - 1) < 1e-13
+    assert abs(turn_weight("k-", 0j, params) - 1) < 1e-13
     with pytest.raises(ValueError):
         vertex_weight("z+", lam, 0, params)
-
-
-def test_turn_weight_negative_ignores_height():
-    s = sampler()
-    params = s.params(1)
-    lam = s.exponent()
-    assert turn_weight("k-", lam, 0, params) == turn_weight("k-", lam, 5, params)
 
 
 def test_partition_transfer_n1_matches_hand_sum():
@@ -157,12 +150,12 @@ def test_partition_transfer_n1_matches_hand_sum():
     positive_turn = (br(rho + lam + mu) * br(lam - mu) * br(rho - 1)
                      * br(rho + zeta - lam)
                      / (br(rho) ** 2 * br(1) * br(rho + zeta + lam)))
-    assert relerr(partition_transfer(1, params), negative_turn + positive_turn) < 1e-12
+    assert relerr(partition_transfer(params), negative_turn + positive_turn) < 1e-12
 
 
-def sum_outcome(total, n, params):
+def sum_outcome(total, params):
     try:
-        return total(n, params)
+        return total(params)
     except NearSingularError:
         return "near-singular"
 
@@ -183,8 +176,8 @@ def test_partition_transfer_matches_per_state_oracle():
             draws = [params, replace(params, rho=0j), replace(params, rho=-1 + 0j),
                      replace(params, zeta=-params.lam[0])]
             for draw in draws:
-                want = sum_outcome(brute_sum_per_state, n, draw)
-                got = sum_outcome(partition_transfer, n, draw)
+                want = sum_outcome(lambda params: brute_sum_per_state(n, params), draw)
+                got = sum_outcome(partition_transfer, draw)
                 if want == "near-singular":
                     assert got == want
                 else:
@@ -202,7 +195,7 @@ def test_partition_filali_n1_structure():
     rho, zeta = params.rho, params.zeta
     expected = (br(2 * lam) * br(zeta - mu) * br(rho + zeta + mu) * br(rho - 1)
                 / (br(1) * br(zeta + lam) * br(rho + zeta + lam) * br(rho)))
-    assert relerr(partition_filali(1, params), expected) < 1e-12
+    assert relerr(partition_filali(params), expected) < 1e-12
 
 
 def test_partition_routes_agree():
@@ -211,7 +204,7 @@ def test_partition_routes_agree():
         for _ in range(3):
             def draw(n=n):
                 params = s.params(n)
-                return relerr(partition_transfer(n, params), partition_filali(n, params))
+                return relerr(partition_transfer(params), partition_filali(params))
 
             assert resample(draw) < 1e-8
 
@@ -224,8 +217,8 @@ def test_partition_symmetric_under_lambda_swap():
         swapped = ModelParams(params.p, params.eta,
                               (params.lam[1], params.lam[0]), params.mu,
                               params.rho, params.zeta)
-        return (relerr(partition_transfer(2, params), partition_transfer(2, swapped)),
-                relerr(partition_filali(2, params), partition_filali(2, swapped)))
+        return (relerr(partition_transfer(params), partition_transfer(swapped)),
+                relerr(partition_filali(params), partition_filali(swapped)))
 
     sum_gap, det_gap = resample(draw)
     assert sum_gap < 1e-10
@@ -253,12 +246,6 @@ def test_resample_gives_up():
         resample(always_bad, attempts=3)
 
 
-def test_mismatched_parameter_count():
-    s = sampler()
-    with pytest.raises(ValueError):
-        partition_transfer(2, s.params(1))
-
-
 def test_bracket_evaluated_once_per_argument(monkeypatch):
     # One n = 3 state sum takes a few hundred local weights, but only a few
     # dozen distinct bracket arguments; each is evaluated once per draw.
@@ -271,7 +258,7 @@ def test_bracket_evaluated_once_per_argument(monkeypatch):
         return theta(*args, **kwargs)
 
     monkeypatch.setattr(module, "theta", counting)
-    partition_transfer(3, sampler().params(3))
+    partition_transfer(sampler().params(3))
     assert 0 < calls < 200
 
 

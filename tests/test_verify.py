@@ -64,8 +64,7 @@ def test_specialization_check_single_draw():
     poly = pn_consistent(1, table)
 
     def draw():
-        return specialization_check(1, sampler.supersymmetric_params(1),
-                                    table, poly)
+        return specialization_check(sampler.supersymmetric_params(1), table, poly)
 
     result = resample(draw)
     assert result.grouped_state_sum <= 1e-8
@@ -81,10 +80,10 @@ def test_specialization_sums_ignore_count_table_order(n):
     for _ in range(12):
         params = sampler.supersymmetric_params(n)
         quarter = replace(params, mu=params.mu[:-1] + (0.25 + 0j,))
-        assert (grouped_state_sum(n, params, table)
-                == grouped_state_sum(n, params, reversed_table))
-        assert (quarter_point_state_sum(n, quarter, table)
-                == quarter_point_state_sum(n, quarter, reversed_table))
+        assert (grouped_state_sum(params, table)
+                == grouped_state_sum(params, reversed_table))
+        assert (quarter_point_state_sum(quarter, table)
+                == quarter_point_state_sum(quarter, reversed_table))
 
 
 def test_specialization_suite_n2():
