@@ -172,8 +172,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
         reports = filali_suite(sampler, trials=args.trials) if "filali" in suites else []
         if "specialization" in suites:
             reports += specialization_suite(sampler, trials=max(1, args.trials // 4))
-        records = ([r.to_record() for r in lattice] + identity()
-                   + [r.to_record() for r in reports])
+        records = lattice + identity() + reports
     return json.dumps(records), 0 if all(r["pass"] for r in records) else 1
 
 

@@ -113,9 +113,9 @@ def double_line_fills(below: tuple[bool, ...],
                       fills) -> list[tuple[bool, LineFill, LineFill]]:
     """Every fill of one double line over the vertical edges ``below``, as
     ``(positive, lower, upper)``: its turn's sign and its two rows' ``(along,
-    above)`` fills by ``fills``, a caller's per-call cache of ``line_fills``,
-    from the turn to the right boundary, which points right.  A positive
-    turn takes the flow in on the lower row."""
+    above)`` fills by ``fills``, ``row_transfer``'s per-transfer cache of
+    ``line_fills``, from the turn to the right boundary, which points
+    right.  A positive turn takes the flow in on the lower row."""
     return [(positive, lower, upper)
             for positive in (False, True)
             for lower in fills(below, not positive, True)
@@ -125,15 +125,19 @@ def double_line_fills(below: tuple[bool, ...],
 def row_transfer(n: int, start, step, add):
     """Fold the states' double lines bottom-up, building no state: Kuperberg's
     U-turn transfer (arXiv:math/0008184).  The frontier maps vertical edges
-    to a value, ``start`` on the all-up bottom edges.  ``step(i, below)``
-    gives double line ``i``'s ``(above, factor)`` pairs, and ``add(acc,
+    to a value, ``start`` on the all-up bottom edges.  ``step(i, below,
+    fills)`` gives double line ``i``'s ``(above, factor)`` pairs from
+    ``fills``, its ``double_line_fills`` over ``below``, and ``add(acc,
     value, factor)`` folds one into ``acc``, the value at ``above`` so far
-    (``None`` at first).  Returns the value at the all-down top edges."""
+    (``None`` at first).  Returns the value at the all-down top edges.  Line
+    fills are memoized for this transfer only, so each follows
+    ``_COMPLETIONS`` as it is when the transfer runs."""
+    line = cache(line_fills)
     frontier = {(True,) * n: start}
     for i in range(n):
         advanced: dict = {}
         for below, value in frontier.items():
-            for above, factor in step(i, below):
+            for above, factor in step(i, below, double_line_fills(below, line)):
                 advanced[above] = add(advanced.get(above), value, factor)
         frontier = advanced
     return frontier[(False,) * n]
@@ -169,19 +173,17 @@ def _packed_transfer(n: int, joint: bool) -> list[tuple[int, int, int, int, int,
     above, dm, left-arrow row, dx), and ``add`` multiplies, so a double line
     shifts every state's count at once.  A face row's colors follow from its
     vertical edges and its wall face: 0 on even face rows, -1 or +1 inside a
-    positive or negative turn.  Fills and face colors are listed once per
-    transfer.
+    positive or negative turn.  Face colors are listed once per transfer.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     width = 2 * n * n + 1
-    face_colors = cache(_face_colors)  # memos live for this transfer only
-    fills = cache(line_fills)
+    face_colors = cache(_face_colors)  # a memo for this transfer only
     two_lefts = f"two left arrows at segment {n - 1} in one state"
 
-    def step(i: int, below: tuple[bool, ...]):
+    def step(i: int, below: tuple[bool, ...], fills):
         tallies: defaultdict[tuple[bool, ...], dict] = defaultdict(dict)
-        for positive, (lower, mid), (upper, above) in double_line_fills(below, fills):
+        for positive, (lower, mid), (upper, above) in fills:
             lefts = [row for row, along in ((2 * i + 1, lower), (2 * i + 2, upper))
                      if not along[-2]]
             if len(lefts) > 1:

@@ -143,11 +143,13 @@ def _raw_sum(counts: dict, n: int, m: int, variant: CountFormula,
 
 
 def _split_by_m(counts: dict, n: int) -> dict[int, dict]:
-    """The cells of each m in 0..n, in insertion order; others are dropped."""
+    """The cells of each m in 0..n, in insertion order; a cell with another
+    m raises ``ConsistencyError``."""
     by_m: dict[int, dict] = {m: {} for m in range(n + 1)}
     for key, cnt in counts.items():
-        if key[0] in by_m:
-            by_m[key[0]][key] = cnt
+        if key[0] not in by_m:
+            raise ConsistencyError(f"cell {key} has m outside 0..{n}")
+        by_m[key[0]][key] = cnt
     return by_m
 
 

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 
-from .lattice import double_line_fills, line_fills, row_transfer
+from .lattice import row_transfer
 from .states import classify_vertex
 
 TWO_PI_I = 2j * math.pi
@@ -43,7 +43,8 @@ def theta(x: complex, p: complex) -> complex:
     Each factor is taken as 1 - p^j (s - p^(j+1)) with s = x + p/x, its
     expansion, which costs five complex operations against seven for the
     two factors.  Truncated once |p|^j * max(|x|, 1/|x|) drops below 1e-17,
-    giving at least 1e-12 relative accuracy for |p| <= 0.9.  The last
+    giving at least 1e-12 relative accuracy for |p| <= 0.9; ``ValueError``
+    if that takes more than ``_MAX_TERMS`` factors (|p| near 1).  The last
     ``_THETA_MEMO`` distinct arguments are memoized; ``theta.__wrapped__``
     is the product itself.
     """
@@ -63,6 +64,8 @@ def theta(x: complex, p: complex) -> complex:
         if not scale >= _TAIL:  # NaN stops here too
             break
         scale *= ap
+    else:
+        raise ValueError(f"theta needs more than {_MAX_TERMS} factors at |p| = {ap}")
     return result
 
 
@@ -149,8 +152,6 @@ def partition_transfer(params: ModelParams) -> complex:
     it, whose wall face is 0: below a lower row, above an upper one.  Only
     weights that some state uses are evaluated, so ``NearSingularError`` is
     raised exactly when one of them is near-singular."""
-    fills = cache(line_fills)  # per call, so each sum follows _COMPLETIONS as it is
-
     @cache
     def row(lam: complex, upper: bool, along: tuple[bool, ...],
             below: tuple[bool, ...], above: tuple[bool, ...]) -> complex:
@@ -163,11 +164,11 @@ def partition_transfer(params: ModelParams) -> complex:
             z += -1 if edge else 1
         return weight
 
-    def step(i: int, below: tuple[bool, ...]):
+    def step(i: int, below: tuple[bool, ...], fills):
         lam = params.lam[i]
         turns = [turn_weight(kind, lam, params) for kind in ("k-", "k+")]
         sums: dict[tuple[bool, ...], complex] = {}
-        for positive, (lower, mid), (upper, above) in double_line_fills(below, fills):
+        for positive, (lower, mid), (upper, above) in fills:
             weight = (turns[positive] * row(lam, False, lower, below, mid)
                       * row(lam, True, upper, mid, above))
             sums[above] = sums.get(above, 0j) + weight
@@ -265,14 +266,14 @@ class ParamSampler:
         )
 
 
-def resample(make, attempts: int = 50):
-    """Call make() until it stops raising NearSingularError."""
-    for _ in range(attempts):
+def resample(make):
+    """Call make() until it stops raising NearSingularError, 50 times at most."""
+    for _ in range(50):
         try:
             return make()
         except NearSingularError:
             continue
-    raise NearSingularError(f"no well-conditioned draw in {attempts} attempts")
+    raise NearSingularError("no well-conditioned draw in 50 attempts")
 
 
 def psi_numeric(p: complex) -> complex:

@@ -18,8 +18,10 @@ Four families of checks:
   wrapper of ``states.check_states``.
 
 The numeric checks take their size from their draw, ``ModelParams.n``.
-Every report carries the worst relative residual over the requested trials
-and a pass flag at the suite's tolerance.
+Every suite returns its reports as the records ``verify`` prints,
+``{"name", "trials", "max_rel_residual", "pass"}`` dicts made by
+``_record``: the worst relative residual over the requested trials and a
+pass flag at the suite's tolerance.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import math
 from collections.abc import Iterable
 from dataclasses import replace
 from math import comb
-from typing import NamedTuple
 
 from .exact import Poly
 from .lattice import CountTable, count_table
@@ -43,19 +44,10 @@ POINTWISE_TOL = 1e-10
 DETERMINANT_TOL = 1e-8
 
 
-class IdentityReport(NamedTuple):
-    name: str
-    trials: int
-    max_rel_residual: float
-    passed: bool
-
-    def to_record(self) -> dict:
-        return {
-            "name": self.name,
-            "trials": self.trials,
-            "max_rel_residual": self.max_rel_residual,
-            "pass": self.passed,
-        }
+def _record(name: str, trials: int, residual: float, tol: float) -> dict:
+    """One report as ``verify`` prints it; a NaN residual fails."""
+    return {"name": name, "trials": trials, "max_rel_residual": residual,
+            "pass": residual <= tol}
 
 
 def relerr(a: complex, b: complex) -> float:
@@ -177,30 +169,28 @@ def identity_draws(sampler: ParamSampler, trials: int = 100) -> list[list[tuple]
             for _, kinds, _ in _POINTWISE]
 
 
-def identity_reports(draws: list[list[tuple]]) -> list[IdentityReport]:
+def identity_reports(draws: list[list[tuple]]) -> list[dict]:
     """One report per pointwise check, from ``identity_draws``'s arguments."""
-    reports = []
-    for (name, _, residual), trials in zip(_POINTWISE, draws):
-        value = _worst(residual(*args) for args in trials)
-        reports.append(IdentityReport(name, len(trials), value, value <= POINTWISE_TOL))
-    return reports
+    return [_record(name, len(trials), _worst(residual(*args) for args in trials),
+                    POINTWISE_TOL)
+            for (name, _, residual), trials in zip(_POINTWISE, draws)]
 
 
 # ---------------------------------------------------------------------------
 # state sum vs determinant formula
 
 
-def filali_suite(sampler: ParamSampler, trials: int = 20,
-                 sizes: tuple[int, ...] = (1, 2, 3)) -> list[IdentityReport]:
+def filali_suite(sampler: ParamSampler, trials: int = 20) -> list[dict]:
+    """One report per n = 1, 2, 3: the state sum against the determinant."""
     reports = []
-    for n in sizes:
+    for n in (1, 2, 3):
         def draw(n=n):
             params = sampler.params(n)
             return relerr(partition_transfer(params), partition_filali(params))
 
-        value = _worst(resample(draw) for _ in range(trials))
-        reports.append(IdentityReport(f"determinant_formula_n{n}", trials, value,
-                                      value <= DETERMINANT_TOL))
+        reports.append(_record(f"determinant_formula_n{n}", trials,
+                               _worst(resample(draw) for _ in range(trials)),
+                               DETERMINANT_TOL))
     return reports
 
 
@@ -332,15 +322,10 @@ def quarter_point_determinant(params: ModelParams, pn_poly: Poly) -> complex:
     return prefactor * t_value * msum
 
 
-class SpecializationDraw(NamedTuple):
-    grouped_state_sum: float
-    quarter_point_state_sum: float
-    quarter_point_determinant: float
-
-
 def specialization_check(params: ModelParams, table: CountTable,
-                         pn_poly: Poly) -> SpecializationDraw:
-    """Residuals of the three specialized identities for one parameter draw.
+                         pn_poly: Poly) -> dict[str, float]:
+    """Residuals of the three specialized identities for one parameter draw,
+    keyed by the name of the route each checks the state sum against.
 
     ``params`` must carry eta = -2/3, unit lambdas, and zero mus except the
     last one, which stays generic; the quarter-point checks replace it by
@@ -352,13 +337,14 @@ def specialization_check(params: ModelParams, table: CountTable,
     total_q = partition_transfer(quarter)
     qsum = relerr(total_q, quarter_point_state_sum(quarter, table))
     qdet = relerr(total_q, quarter_point_determinant(quarter, pn_poly))
-    return SpecializationDraw(generic, qsum, qdet)
+    return {"grouped_state_sum": generic, "quarter_point_state_sum": qsum,
+            "quarter_point_determinant": qdet}
 
 
-def specialization_suite(sampler: ParamSampler, trials: int = 5,
-                         sizes: tuple[int, ...] = (1, 2)) -> list[IdentityReport]:
+def specialization_suite(sampler: ParamSampler, trials: int = 5) -> list[dict]:
+    """Three reports per n = 1, 2, one per ``specialization_check`` residual."""
     reports = []
-    for n in sizes:
+    for n in (1, 2):
         table = count_table(n)
         pn_poly = pn_via_T(n)
         def draw(n=n, table=table, pn_poly=pn_poly):
@@ -366,9 +352,10 @@ def specialization_suite(sampler: ParamSampler, trials: int = 5,
                 sampler.supersymmetric_params(n), table, pn_poly)
 
         draws = [resample(draw) for _ in range(trials)]
-        for label, value in zip(SpecializationDraw._fields, map(_worst, zip(*draws))):
-            reports.append(IdentityReport(f"{label}_n{n}", trials, value,
-                                          value <= DETERMINANT_TOL))
+        reports += [_record(f"{label}_n{n}", trials,
+                            _worst(residuals[label] for residuals in draws),
+                            DETERMINANT_TOL)
+                    for label in draws[0]]
     return reports
 
 
@@ -376,12 +363,11 @@ def specialization_suite(sampler: ParamSampler, trials: int = 5,
 # exact state invariants
 
 
-def lattice_suite(max_n: int = 3) -> list[IdentityReport]:
+def lattice_suite(max_n: int = 3) -> list[dict]:
     """One report per size up to ``max_n``: its states, and how many of
-    them break a rule (``states.check_states``)."""
+    them break a rule (``states.check_states``), which must be none."""
     reports = []
     for n in range(1, max_n + 1):
         states, failures = check_states(n)
-        reports.append(IdentityReport(f"state_invariants_n{n}", states,
-                                      float(failures), failures == 0))
+        reports.append(_record(f"state_invariants_n{n}", states, float(failures), 0.0))
     return reports

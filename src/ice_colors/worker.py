@@ -5,12 +5,13 @@
 parent goes on.  ``verify`` forks one, the identity worker, once the parent
 has drawn the pointwise identities' arguments; it evaluates them while the
 parent runs the lattice suite and the other sampler suites.  The child
-sends the records of its reports back as JSON through a pipe; it never
-writes to stdout and ends in ``os._exit`` on every path.  A worker that
-cannot start or does not exit 0 raises ``ChildProcessError`` with a
-one-line message naming it.  The parent kills and reaps a worker still
-running when it leaves the ``with`` block, whatever ends it; a worker whose
-parent died without that exits by itself.
+sends ``work()``'s return value back as JSON through a pipe, unchanged, so
+the worker knows nothing of what it carries; it never writes to stdout and
+ends in ``os._exit`` on every path.  A worker that cannot start or does not
+exit 0 raises ``ChildProcessError`` with a one-line message naming it.  The
+parent kills and reaps a worker still running when it leaves the ``with``
+block, whatever ends it; a worker whose parent died without that exits by
+itself.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ def _alarm_blocked():
 
 
 def _serve(work, writer, parent: int) -> None:
-    """The worker's whole life: send the records of the reports ``work()``
-    returns as JSON, then ``os._exit``.
+    """The worker's whole life: send what ``work()`` returns as JSON, then
+    ``os._exit``.
 
     A parent ended by a signal it does not handle (SIGKILL, or SIGTERM,
     whose default action ends it) runs no cleanup, so every half second of
@@ -48,7 +49,7 @@ def _serve(work, writer, parent: int) -> None:
     try:
         signal.signal(signal.SIGVTALRM, exit_if_orphaned)
         signal.setitimer(signal.ITIMER_VIRTUAL, 0.5, 0.5)
-        writer.write(json.dumps([r.to_record() for r in work()]).encode())
+        writer.write(json.dumps(work()).encode())
         writer.close()
         os._exit(0)
     except BaseException:
@@ -61,10 +62,10 @@ def _serve(work, writer, parent: int) -> None:
 
 @contextmanager
 def forked(name: str, work):
-    """Run ``work()``, which returns reports, in a forked child, the worker
-    ``name``, while the block runs; yield ``join()``, which waits for the
-    child and returns the records of its reports.  Whatever ends the block,
-    a child still running is killed and reaped.
+    """Run ``work()``, which returns a JSON-serializable value, in a forked
+    child, the worker ``name``, while the block runs; yield ``join()``, which
+    waits for the child and returns that value as JSON decodes it.  Whatever
+    ends the block, a child still running is killed and reaped.
     """
     try:
         read_fd, write_fd = os.pipe()
@@ -88,7 +89,7 @@ def forked(name: str, work):
                         reader.close()
                         _serve(work, writer, parent)
 
-            def join() -> list[dict]:
+            def join():
                 nonlocal pid
                 data = reader.read()
                 with _alarm_blocked():  # a reaped pid is never killed below

@@ -73,8 +73,8 @@ def test_criterion_5_theta_identity_suite():
     started = time.monotonic()
     reports = identity_reports(identity_draws(ParamSampler(7), trials=100))
     for report in reports:
-        assert report.max_rel_residual <= 1e-10, (report.name,
-                                                  report.max_rel_residual)
+        assert report["max_rel_residual"] <= 1e-10, (report["name"],
+                                                     report["max_rel_residual"])
     _report(5, "theta identities <= 1e-10", started, 10.0)
 
 
@@ -117,7 +117,7 @@ def test_criterion_8_specialized_partition_function():
                     sampler.supersymmetric_params(n), table, poly)
 
             result = resample(draw)
-            assert result.grouped_state_sum <= 1e-8
-            assert result.quarter_point_state_sum <= 1e-8
-            assert result.quarter_point_determinant <= 1e-8
+            assert result["grouped_state_sum"] <= 1e-8
+            assert result["quarter_point_state_sum"] <= 1e-8
+            assert result["quarter_point_determinant"] <= 1e-8
     _report(8, "specialized double sums <= 1e-8", started, 60.0)

@@ -512,10 +512,11 @@ def test_lattice_suite_verdicts_are_state_violations(monkeypatch):
             for name, table in tables.items():
                 patched.setattr(states, name, table)
             reports = lattice_suite(4)
-            assert ([(r.trials, r.max_rel_residual) for r in reports]
+            assert ([(r["trials"], r["max_rel_residual"]) for r in reports]
                     == reference_verdicts()), label
-            assert [r.passed for r in reports] == [not r.max_rel_residual for r in reports]
-            outcomes[label] = reports[-1].trials, reports[-1].max_rel_residual
+            assert [r["pass"] for r in reports] == [not r["max_rel_residual"]
+                                                    for r in reports]
+            outcomes[label] = reports[-1]["trials"], reports[-1]["max_rel_residual"]
     assert len(outcomes) == 15
     assert outcomes["none"] == (10336, 0.0)
     assert outcomes["upper a-"] == (10336, 6298.0)
@@ -545,7 +546,7 @@ def test_lattice_suite_tallies_each_distinct_column_once(monkeypatch):
     for n in (1, 2, 3):
         for _, segments, up, _ in enumerate_states(n):
             columns.update((segments[c], segments[c + 1], up[c]) for c in range(n))
-    assert [(r.trials, r.passed) for r in reports] == [(2, True), (12, True), (208, True)]
+    assert [(r["trials"], r["pass"]) for r in reports] == [(2, True), (12, True), (208, True)]
     assert grids == []
     assert len(tallied) == len(set(tallied)) == len(columns)
     assert set(tallied) == columns
@@ -566,7 +567,7 @@ def test_lattice_suite_fails_a_wall_off_the_turns(monkeypatch, fault, pinned):
     # The faulted wall, in the walk and the transfer alike: the suite must
     # fail exactly the states the per-state reference fails.
     monkeypatch.setattr(states, "wall_arrows", fault)
-    verdicts = [(r.trials, r.max_rel_residual) for r in lattice_suite(4)]
+    verdicts = [(r["trials"], r["max_rel_residual"]) for r in lattice_suite(4)]
     assert verdicts == reference_verdicts() == pinned
 
 
@@ -728,9 +729,9 @@ def test_lattice_suite_counts_the_states_from_outside_the_fills():
     # fill dropped from _COMPLETIONS breaks no rule they check; the count,
     # 2^n A_V(2n+1), comes from outside them.
     reports = lattice_suite(6)
-    assert [(r.trials, r.max_rel_residual) for r in reports] == [
+    assert [(r["trials"], r["max_rel_residual"]) for r in reports] == [
         (2 ** n * vsasm_count(n), 0.0) for n in range(1, 7)]
-    assert reports[-1].trials == 595497600
+    assert reports[-1]["trials"] == 595497600
 
 
 def test_count_table_serialization_round_trip():

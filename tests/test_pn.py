@@ -227,6 +227,14 @@ def test_mismatched_table_rejected(tables):
         _raw_sum(tables[1].counts, 1, 2, VARIANT_B, 3)
 
 
+def test_cells_with_m_out_of_range_rejected():
+    # Such a cell belongs to no variant/m sum; it must not vanish unseen.
+    counts = count_table(2).counts | {(3, 1, 5, 5, 5): 99, (-1, 2, 4, 4, 7): 5}
+    with pytest.raises(ConsistencyError,
+                       match=r"^cell \(3, 1, 5, 5, 5\) has m outside 0\.\.2$"):
+        pn_consistent(2, CountTable(2, counts))
+
+
 def test_corrupt_counts_detected():
     # Perturbing one count must break polynomial reduction or agreement.
     table = count_table(2)

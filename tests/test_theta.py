@@ -65,6 +65,18 @@ def test_theta_vanishes_at_one():
         assert abs(theta(1 + 0j, s.nome())) < 1e-14
 
 
+def test_theta_refuses_a_nome_its_factors_cannot_reach():
+    # 2000 factors reach the 1e-17 tail at |p| = 0.98 but not at 0.99, where
+    # the truncated product is off by about 5e-7.
+    x = 0.3 + 0.2j
+    with pytest.raises(ValueError, match="more than 2000 factors"):
+        theta(x, 0.99 + 0j)
+    reference = 1 + 0j
+    for j in range(5000):
+        reference *= (1 - 0.98**j * x) * (1 - 0.98 ** (j + 1) / x)
+    assert relerr(theta(x, 0.98 + 0j), reference) < 1e-12
+
+
 def test_theta_domain_errors():
     with pytest.raises(ValueError):
         theta(0j, 0.1 + 0j)
@@ -239,11 +251,15 @@ def test_det_complex_vs_product_of_eigen_structure():
 
 
 def test_resample_gives_up():
+    calls = []
+
     def always_bad():
+        calls.append(1)
         raise NearSingularError("no")
 
     with pytest.raises(NearSingularError):
-        resample(always_bad, attempts=3)
+        resample(always_bad)
+    assert len(calls) == 50
 
 
 def test_bracket_evaluated_once_per_argument(monkeypatch):
